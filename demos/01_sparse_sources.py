@@ -7,6 +7,9 @@ redundancy assumptions directly from X and shows the CSV round trip.
 Run: python demos/01_sparse_sources.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from csnc import Seed, SparsityProfile, generate_ensemble, make_dictionary_pair, verify_assumption
@@ -36,8 +39,10 @@ def main():
     heavy = np.flatnonzero(np.abs(mu) > 1e-10 * np.max(np.abs(mu)))
     print(f"random functional -> spatial coefficients on rows {list(heavy)}")
 
-    save_ensemble(ens, "/tmp/demo_ensemble.csv", dicts, seed=seed.child(2), dict_seed=seed.child(1))
-    loaded, meta = load_ensemble("/tmp/demo_ensemble.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ensemble.csv")
+        save_ensemble(ens, path, dicts, seed=seed.child(2), dict_seed=seed.child(1))
+        loaded, meta = load_ensemble(path)
     print(f"round trip exact: {np.array_equal(loaded.X, ens.X)} (meta keys: {sorted(meta)[:4]}...)")
 
 

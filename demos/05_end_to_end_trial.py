@@ -7,6 +7,9 @@ correlation-blind baseline, and fits the noise power law with a sweep.
 Run: python demos/05_end_to_end_trial.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from csnc import ExperimentConfig, Seed, SparsityProfile, naive_baseline, run_trials, sweep, theorem_budget
@@ -26,8 +29,11 @@ def main():
           f"{np.median([r.max_distortion for r in records]):.2e} (allowed {cfg.D})")
     print(f"network uses per trial: {records[0].c_use} (exact m1 m2 / m)")
 
-    export_results(records, "/tmp/demo_records.csv")
-    print("records exported to /tmp/demo_records.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.csv")
+        export_results(records, path)
+        with open(path) as fh:
+            print(f"records exported as CSV: {sum(1 for _ in fh)} lines")
 
     plan = theorem_budget(1.0, 3, 3, 48, 64, 16, 0.1, 0.0025)
     base = naive_baseline(48, 64, 16, 0.1, 0.0025)

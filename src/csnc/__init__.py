@@ -72,8 +72,11 @@ from .harness import (
     BudgetPlan,
     CalibrationError,
     ExperimentConfig,
+    Trial,
     TrialRecord,
+    build_trial,
     calibrate_c,
+    decode_trial,
     direct_recovery_trial,
     export_results,
     load_config,

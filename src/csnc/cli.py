@@ -1,8 +1,11 @@
 """Command-line entry point.
 
 One verb per invocation; flags override config-file values, which
-override the CSNC_SEED environment variable.  Exit codes: 0 success,
-1 assertion or calibration failure, 2 usage error, 3 I/O error.
+override the CSNC_SEED environment variable.  The per-trial verbs
+(generate, project, decode, re-estimate) act on trial 0 of the
+configured seed, the same trial `trial --index 0` runs.  Exit codes:
+0 success, 1 assertion or calibration failure, 2 usage error, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -13,14 +16,14 @@ import sys
 
 import numpy as np
 
-from . import harness, precoder, re_analysis, sources
+from . import harness, re_analysis, sources
 from .mathcore import Seed
 
 CONFIG_SCHEMA_HELP = f"config schema version {harness.CONFIG_SCHEMA_VERSION}: " \
     "[experiment] section with N, n, k1, k2, m, m1, m2, sigma, D, master_seed, " \
     "seed_stream, kind_phi, kind_psi, network_mode, case, projection_family, " \
     "coeff_family, connect_prob, receivers, trials, amp_lo, amp_hi, " \
-    "redraw_b_per_t, debias, xi_spatial, xi_temporal, xi_scale"
+    "redraw_b_per_t, debias, xi_spatial, xi_temporal, xi_scale, stage2"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -43,11 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker process cap for trial batches")
         p.add_argument("-v", "--verbose", action="store_true")
 
-    common(sub.add_parser("generate", help="draw a source ensemble and export it"))
-    common(sub.add_parser("project", help="temporally project an ensemble and export Y"))
+    common(sub.add_parser("generate", help="export trial 0's source ensemble"))
+    common(sub.add_parser("project", help="export trial 0's temporally projected samples Y"))
     common(sub.add_parser("simulate", help="run all configured trials and export records"))
-    common(sub.add_parser("decode", help="rerun one trial deterministically, export reconstruction"))
-    p = sub.add_parser("re-estimate", help="estimate the restricted-eigenvalue level of the transfer matrix")
+    common(sub.add_parser("decode", help="decode trial 0 and export every receiver's reconstruction"))
+    p = sub.add_parser("re-estimate", help="estimate the restricted-eigenvalue level of trial 0's transfer matrix")
     common(p)
     p.add_argument("--sparsity", type=int, help="cone sparsity (default k2)")
     p.add_argument("--alpha", type=float, default=1.0)
@@ -92,10 +95,6 @@ def _load(args) -> harness.ExperimentConfig:
     return cfg
 
 
-def _transfer_for(cfg, seed):
-    return harness._make_transfer(cfg, seed)
-
-
 def dispatch(args) -> int:
     verb = args.verb
 
@@ -113,20 +112,17 @@ def dispatch(args) -> int:
     out = args.output
 
     if verb == "generate":
-        dicts = sources.make_dictionary_pair(cfg.kind_phi, cfg.kind_psi, p.n, p.N, seed.child(1))
-        ens = sources.generate_ensemble(p, dicts, (cfg.amp_lo, cfg.amp_hi), seed.child(2))
+        trial = harness.build_trial(cfg, 0)
         path = out or "ensemble.csv"
-        sources.save_ensemble(ens, path, dicts, seed=seed.child(2), dict_seed=seed.child(1))
-        report = sources.verify_assumption(ens, dicts)
+        sources.save_ensemble(trial.ens, path, trial.dicts, seed=trial.seed.child(harness._ENSEMBLE),
+                              dict_seed=trial.seed.child(harness._DICTS))
+        report = sources.verify_assumption(trial.ens, trial.dicts)
         print(f"wrote {path} (+.meta); temporal_ok={report.temporal_ok} "
               f"spatial_ok={report.spatial_ok} worst_residual={report.worst_residual:.3g}")
         return EXIT_OK if (report.temporal_ok and report.spatial_ok) else EXIT_FAIL
 
     if verb == "project":
-        dicts = sources.make_dictionary_pair(cfg.kind_phi, cfg.kind_psi, p.n, p.N, seed.child(1))
-        ens = sources.generate_ensemble(p, dicts, (cfg.amp_lo, cfg.amp_hi), seed.child(2))
-        op = precoder.make_projection(cfg.m1, p.n, cfg.projection_family, seed.child(3))
-        Y = precoder.temporal_project(ens, op)
+        Y = harness.build_trial(cfg, 0).Y
         path = out or "projected.csv"
         np.savetxt(path, Y, delimiter=",", fmt="%.17g")
         print(f"wrote {path} ({Y.shape[0]} x {Y.shape[1]})")
@@ -148,11 +144,13 @@ def dispatch(args) -> int:
         return EXIT_OK
 
     if verb == "decode":
-        record = harness.run_trial(cfg, 0)
+        results = harness.decode_trial(cfg, harness.build_trial(cfg, 0))
+        x_hat = np.vstack([res.x_hat for res in results])  # receiver-major
         path = out or "decode.csv"
-        harness.export_results([record], path)
-        print(f"wrote {path}; max distortion {record.max_distortion:.6g} "
-              f"(allowed {cfg.D:.6g}), support recovery {record.support_recovery_rate:.3f}")
+        np.savetxt(path, x_hat, delimiter=",", fmt="%.17g")
+        worst = max(float(res.per_source_distortion.max()) for res in results)
+        print(f"wrote {path} ({x_hat.shape[0]} x {x_hat.shape[1]}); "
+              f"max distortion {worst:.6g} (allowed {cfg.D:.6g})")
         return EXIT_OK
 
     if verb == "trial":
@@ -161,13 +159,13 @@ def dispatch(args) -> int:
             harness.export_results([record], out)
         print(f"trial {args.index}: max_distortion={record.max_distortion:.6g} "
               f"c_use={record.c_use} support_recovery={record.support_recovery_rate:.3f} "
-              f"success={record.success}")
+              f"success={record.success} converged={record.converged}")
         return EXIT_OK
 
     if verb == "re-estimate":
-        tm = _transfer_for(cfg, seed.child(5, 0))
+        G = harness.build_trial(cfg, 0).transfers[0].G
         k = args.sparsity or p.k2
-        est = re_analysis.estimate_re(tm.G, k, args.alpha, args.supports, args.vectors, seed.child(9))
+        est = re_analysis.estimate_re(G, k, args.alpha, args.supports, args.vectors, seed.child(9))
         if out:
             re_analysis.save_re_report(est, out)
         print(f"gamma_hat = {est.gamma_hat:.6g} over {est.samples_used} samples "

@@ -12,7 +12,9 @@ Seeding is hierarchical: trial seed = master.child(tag, index), and
 every random object inside a trial (dictionaries, ensemble,
 projection, patterns, per-receiver transfer matrices and noise) draws
 from its own named substream.  Receiver r's streams depend only on r,
-so adding receivers never perturbs existing ones.
+so adding receivers never perturbs existing ones.  build_trial is the
+one place these objects are drawn; run_trial and the per-trial CLI
+verbs all start from it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lasso import decode_all, decode_spatial, default_xi
+from .lasso import DecodeResult, decode_all, decode_spatial, default_xi
 from .mathcore import Seed
 from .netsim import (
     ChannelModel,
@@ -36,8 +38,14 @@ from .netsim import (
     network_uses,
     transmit,
 )
-from .precoder import OnOffPattern, draw_onoff, make_projection, temporal_project
-from .sources import SparsityProfile, generate_ensemble, make_dictionary_pair
+from .precoder import OnOffPattern, ProjectionOperator, draw_onoff, make_projection, temporal_project
+from .sources import (
+    DictionaryPair,
+    SourceEnsemble,
+    SparsityProfile,
+    generate_ensemble,
+    make_dictionary_pair,
+)
 
 NETWORK_MODES = ("direct", "example1", "identity")
 CASES = ("case1-sparseB", "case2-denseB")
@@ -117,6 +125,7 @@ class TrialRecord:
     m1: int
     m2: int
     seed: Seed
+    converged: bool  # every solve of both stages at every receiver converged
     timing_ms: float = 0.0
 
 
@@ -130,65 +139,82 @@ def _make_transfer(cfg: ExperimentConfig, seed: Seed) -> TransferMatrix:
     return derive_transfer_matrix(topo, cfg.m2, cfg.coeff_family, seed)
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Execute pipeline steps 1-4 once and score against ground truth."""
-    t0 = time.perf_counter()
+@dataclass
+class Trial:
+    """Every random object of one trial, each drawn from its named substream."""
+
+    seed: Seed
+    dicts: DictionaryPair
+    ens: SourceEnsemble
+    op: ProjectionOperator
+    Y: np.ndarray  # m1 x N, column i = A X_i
+    patterns: list[OnOffPattern]  # one per time index
+    transfers: list[TransferMatrix]  # one per receiver
+    observations: list[np.ndarray]  # one m2 x m1 block per receiver, column t = Z^t
+
+
+def build_trial(cfg: ExperimentConfig, index: int) -> Trial:
+    """Draw trial `index` of cfg: pipeline steps 1-3 up to the receiver observations."""
     p = cfg.profile
-    seed = cfg.master_seed.child(_TRIAL, trial_index)
+    seed = cfg.master_seed.child(_TRIAL, index)
 
     dicts = make_dictionary_pair(cfg.kind_phi, cfg.kind_psi, p.n, p.N, seed.child(_DICTS))
     ens = generate_ensemble(p, dicts, (cfg.amp_lo, cfg.amp_hi), seed.child(_ENSEMBLE))
     op = make_projection(cfg.m1, p.n, cfg.projection_family, seed.child(_PROJ))
-    Y = temporal_project(ens, op)  # m1 x N, column i = A X_i
+    Y = temporal_project(ens, op)
 
     prob = cfg.m2 / p.N if cfg.case == "case1-sparseB" else 1.0
-    patterns: list[OnOffPattern] = []
-    for t in range(cfg.m1):
-        if t == 0 or cfg.redraw_b_per_t:
-            patterns.append(draw_onoff(p.N, prob, seed.child(_PATTERN, t)))
-        else:
-            patterns.append(patterns[0])
-
-    xi_spatial = cfg.xi_spatial
-    if xi_spatial is None:
-        xi_spatial = default_xi(cfg.sigma, cfg.m2, p.N, scale=cfg.xi_scale)
+    if cfg.redraw_b_per_t:
+        patterns = [draw_onoff(p.N, prob, seed.child(_PATTERN, t)) for t in range(cfg.m1)]
+    else:
+        patterns = [draw_onoff(p.N, prob, seed.child(_PATTERN, 0))] * cfg.m1
 
     ch = ChannelModel(cfg.sigma)
-    theta_true = dicts.Psi @ ens.core  # row i = temporal coefficients of source i
+    transfers = [_make_transfer(cfg, seed.child(_TRANSFER, r)) for r in range(cfg.receivers)]
+    observations = [
+        np.column_stack(
+            [transmit(tm, patterns[t], Y[t], ch, seed.child(_NOISE, r, t)) for t in range(cfg.m1)]
+        )
+        for r, tm in enumerate(transfers)
+    ]
+    return Trial(seed, dicts, ens, op, Y, patterns, transfers, observations)
+
+
+def decode_trial(cfg: ExperimentConfig, trial: Trial) -> list[DecodeResult]:
+    """Pipeline step 4: the two-stage decode at every receiver, scored against the truth."""
+    xi_spatial = cfg.xi_spatial
+    if xi_spatial is None:
+        xi_spatial = default_xi(cfg.sigma, cfg.m2, cfg.profile.N, scale=cfg.xi_scale)
+    diags = [pat.diag for pat in trial.patterns]
+    return [
+        decode_all(
+            obs, tm.G, diags, trial.dicts.Psi, trial.dicts.Phi, trial.op.A, xi_spatial,
+            xi_temporal=cfg.xi_temporal, truth_X=trial.ens.X, proj_truth=trial.Y,
+            debias=cfg.debias, xi_scale=cfg.xi_scale, run_temporal=cfg.stage2,
+        )
+        for tm, obs in zip(trial.transfers, trial.observations)
+    ]
+
+
+def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
+    """Build, decode and score one trial against ground truth."""
+    t0 = time.perf_counter()
+    p = cfg.profile
+    trial = build_trial(cfg, trial_index)
+    results = decode_trial(cfg, trial)
+
+    theta_true = trial.dicts.Psi @ trial.ens.core  # row i = temporal coefficients of source i
     theta_peak = np.max(np.abs(theta_true)) if theta_true.size else 0.0
     # support recovery counts coefficients at meaningful amplitude: decoders
     # legitimately leave sub-noise junk on zero sources, which a strict
     # nonzero comparison would score as failure despite tiny distortion
     support_tol = 1e-3 * max(theta_peak, 1.0)
 
-    distortions = np.zeros((cfg.receivers, p.N))
+    distortions = np.array([res.per_source_distortion for res in results])
     support_hits = 0
     stage1_errs: list[float] = []
-    for r in range(cfg.receivers):
-        tm = _make_transfer(cfg, seed.child(_TRANSFER, r))
-        obs = np.column_stack(
-            [
-                transmit(tm, patterns[t], Y[t], ch, seed.child(_NOISE, r, t))
-                for t in range(cfg.m1)
-            ]
-        )
-        res = decode_all(
-            obs,
-            tm.G,
-            [pat.diag for pat in patterns],
-            dicts.Psi,
-            dicts.Phi,
-            op.A,
-            xi_spatial,
-            xi_temporal=cfg.xi_temporal,
-            truth_X=ens.X,
-            proj_truth=Y,
-            debias=cfg.debias,
-            xi_scale=cfg.xi_scale,
-            run_temporal=cfg.stage2,
-        )
-        distortions[r] = res.per_source_distortion
-        stage1_errs.extend(np.sum((res.y_hat - Y) ** 2, axis=1).tolist())
+    for res in results:
+        stage1_errs.extend(np.sum((res.y_hat - trial.Y) ** 2, axis=1).tolist())
         for i in range(p.N):
             rec = np.flatnonzero(np.abs(res.theta_hat[i]) > support_tol)
             true = np.flatnonzero(np.abs(theta_true[i]) > support_tol)
@@ -196,7 +222,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
                 support_hits += 1
 
     max_distortion = float(distortions.max()) if distortions.size else 0.0
-    record = TrialRecord(
+    return TrialRecord(
         trial_index=trial_index,
         per_source_distortion=distortions,
         max_distortion=max_distortion,
@@ -206,10 +232,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         success=max_distortion <= cfg.D,
         m1=cfg.m1,
         m2=cfg.m2,
-        seed=seed,
+        seed=trial.seed,
+        converged=all(res.spatial_converged and res.temporal_converged for res in results),
         timing_ms=(time.perf_counter() - t0) * 1e3,
     )
-    return record
 
 
 def run_trials(cfg: ExperimentConfig, indices=None, workers: int = 1) -> list[TrialRecord]:

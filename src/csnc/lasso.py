@@ -236,14 +236,6 @@ def solve_lasso(
     return LassoSolution(coef, objective, kkt, sweeps, converged, trace)
 
 
-def write_trace_csv(solution: LassoSolution, path) -> None:
-    """Dump the per-sweep objective trace of a keep_trace solve as CSV."""
-    with open(path, "w") as fh:
-        fh.write("sweep,objective\n")
-        for i, obj in enumerate(solution.trace):
-            fh.write(f"{i},{obj:.17g}\n")
-
-
 def debias_refit(z, D, coef, support_tol: float = 0.0) -> np.ndarray:
     """Least-squares refit of coef on its recovered support.
 
@@ -346,8 +338,7 @@ def decode_all(
         G: m2 x N transfer matrix of this receiver.
         patterns: length-m1 sequence of 0/1 on-off diagonals (length N).
         Psi, Phi: spatial (N x N) and temporal (n x n) dictionaries.
-        A: m1 x n shared projection matrix, or a length-N sequence of
-            per-source matrices.
+        A: m1 x n projection matrix shared by all sources.
         xi_spatial: stage-1 regularization weight.
         xi_temporal: stage-2 weight; a scalar, a length-N array, or None.
             When None, a per-source weight is derived from the measured
@@ -356,7 +347,7 @@ def decode_all(
         truth_X: optional N x n ground-truth sample matrix; enables the
             per-source distortion report and residual-driven xi.
         proj_truth: optional m1 x N matrix of the true projected samples
-            (column i = A_i X_i); recomputed from truth_X when omitted.
+            (column i = A X_i); recomputed from truth_X when omitted.
         debias: least-squares refit on each recovered support.
         xi_scale: scale passed to default_xi for derived stage-2 weights.
         run_temporal: skip the per-source temporal stage when False
@@ -369,6 +360,9 @@ def decode_all(
     if obs.ndim != 2:
         raise ValueError("receiver_obs must be 2-D (m2 x m1)")
     G = as_matrix(G, "G")
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError("A must be the 2-D m1 x n projection matrix")
     Psi = as_matrix(Psi, "Psi")
     Phi = as_matrix(Phi, "Phi")
     N = Psi.shape[0]
@@ -376,10 +370,6 @@ def decode_all(
     m1 = obs.shape[1]
     if len(patterns) != m1:
         raise ValueError("need one on-off pattern per time index")
-
-    per_source_A = not isinstance(A, np.ndarray)
-    if per_source_A and len(A) != N:
-        raise ValueError("per-source projection list must have N entries")
 
     mu_hat = np.zeros((N, m1))
     y_hat = np.zeros((m1, N))
@@ -401,10 +391,7 @@ def decode_all(
     if truth_X is not None:
         truth_X = as_matrix(truth_X, "truth_X")
         if proj_truth is None:
-            if per_source_A:
-                proj_truth = np.column_stack([A[i] @ truth_X[i] for i in range(N)])
-            else:
-                proj_truth = A @ truth_X.T
+            proj_truth = A @ truth_X.T
         residual_rms = np.array(
             [np.linalg.norm(y_hat[:, i] - proj_truth[:, i]) / math.sqrt(max(m1, 1)) for i in range(N)]
         )
@@ -412,7 +399,6 @@ def decode_all(
     temporal_ok = True
     if m1 > 0 and run_temporal:
         for i in range(N):
-            Ai = A[i] if per_source_A else A
             if xi_temporal is None:
                 if residual_rms is not None:
                     sigma_u = residual_rms[i]
@@ -421,7 +407,7 @@ def decode_all(
                 xi_i = default_xi(sigma_u, m1, n, scale=xi_scale)
             else:
                 xi_i = float(np.atleast_1d(xi_temporal)[i]) if np.ndim(xi_temporal) else float(xi_temporal)
-            theta, xh, sol = decode_temporal(y_hat[:, i], Ai, Phi, xi_i, debias=debias)
+            theta, xh, sol = decode_temporal(y_hat[:, i], A, Phi, xi_i, debias=debias)
             theta_hat[i] = theta
             x_hat[i] = xh
             temporal_ok = temporal_ok and sol.converged

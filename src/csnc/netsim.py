@@ -183,40 +183,3 @@ def network_uses(m1: int, m2: int, m: int) -> Fraction:
         raise ValueError("m1 and m2 must be nonnegative")
     return Fraction(m1 * m2, m)
 
-
-def save_topology(topo: NetworkTopology, path: str) -> None:
-    """Edge-list text format: header with node counts and layer tags, then one edge per line."""
-    with open(path, "w") as fh:
-        fh.write(f"nodes {topo.node_count}\n")
-        fh.write("sources " + " ".join(map(str, topo.source_nodes)) + "\n")
-        fh.write("intermediates " + " ".join(map(str, topo.intermediate_nodes)) + "\n")
-        fh.write("receivers " + " ".join(map(str, topo.receiver_nodes)) + "\n")
-        fh.write(f"edges {len(topo.edges)}\n")
-        for a, b in topo.edges:
-            fh.write(f"{a} {b}\n")
-
-
-def load_topology(path: str) -> NetworkTopology:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header: dict[str, list[int]] = {}
-    i = 0
-    while i < len(lines) and not lines[i][0].isdigit():
-        key, *vals = lines[i].split()
-        header[key] = [int(v) for v in vals]
-        i += 1
-    edges = [tuple(int(v) for v in ln.split()) for ln in lines[i:]]
-    if len(edges) != header["edges"][0]:
-        raise ValueError("edge count does not match header")
-    return NetworkTopology(
-        header["nodes"][0], edges, header["sources"], header["intermediates"], header["receivers"]
-    )
-
-
-def save_transfer_matrix(tm: TransferMatrix, path: str) -> None:
-    """G as CSV; decomposition factors go to <path>.g1 / <path>.g2 when present."""
-    np.savetxt(path, tm.G, delimiter=",", fmt="%.17g")
-    if tm.decomposition is not None:
-        G1, G2 = tm.decomposition
-        np.savetxt(path + ".g1", G1, delimiter=",", fmt="%.17g")
-        np.savetxt(path + ".g2", G2, delimiter=",", fmt="%.17g")

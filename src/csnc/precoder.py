@@ -4,11 +4,10 @@ Step one of the pipeline projects each source's n samples down to m1
 dimensions with a random matrix; step two masks sources with an i.i.d.
 Bernoulli 0/1 diagonal so only a fraction transmit at each time.
 
-The default projection is a single matrix shared by every source: with
+The projection is a single matrix shared by every source: with
 a shared A, every cross-source slice Y^t = (A X_i)_t keeps the exact
 spatial sparsity of the ensemble, which is what the spatial decoder
-relies on.  Per-source matrices are retained as an experimental option
-whose sparsity is only approximate.
+relies on.
 """
 
 from __future__ import annotations
@@ -25,19 +24,13 @@ PROJECTION_FAMILIES = ("gaussian", "rademacher", "identity")
 
 @dataclass
 class ProjectionOperator:
-    """m1 x n projection, either shared by all sources or one per source."""
+    """m1 x n projection shared by all sources."""
 
     A: np.ndarray
     family: str = "gaussian"
-    mode: str = "shared"
-    per_source: list[np.ndarray] | None = None
 
     def __post_init__(self):
         self.A = as_matrix(self.A, "A")
-        if self.mode not in ("shared", "per-source"):
-            raise ValueError("mode must be 'shared' or 'per-source'")
-        if self.mode == "per-source" and not self.per_source:
-            raise ValueError("per-source mode requires the matrix list")
 
     @property
     def m1(self) -> int:
@@ -48,7 +41,7 @@ class ProjectionOperator:
         return self.A.shape[1]
 
 
-def make_projection(m1, n, family, seed: Seed, mode="shared", N=None) -> ProjectionOperator:
+def make_projection(m1, n, family, seed: Seed) -> ProjectionOperator:
     """Draw a projection operator.
 
     gaussian draws i.i.d. normal(0, 1) entries and rademacher uniform
@@ -57,36 +50,25 @@ def make_projection(m1, n, family, seed: Seed, mode="shared", N=None) -> Project
     """
     if m1 < 1:
         raise ValueError("m1 must be >= 1")
-
-    def draw(s):
-        if family == "gaussian":
-            return gaussian_matrix(m1, n, 1.0, s)
-        if family == "rademacher":
-            return rademacher_matrix(m1, n, s)
-        if family == "identity":
-            if m1 != n:
-                raise ValueError("identity projection requires m1 == n")
-            return np.eye(n)
+    if family == "gaussian":
+        A = gaussian_matrix(m1, n, 1.0, seed)
+    elif family == "rademacher":
+        A = rademacher_matrix(m1, n, seed)
+    elif family == "identity":
+        if m1 != n:
+            raise ValueError("identity projection requires m1 == n")
+        A = np.eye(n)
+    else:
         raise ValueError(f"unknown projection family {family!r}")
-
-    if mode == "shared":
-        return ProjectionOperator(draw(seed), family, "shared")
-    if mode == "per-source":
-        if not N:
-            raise ValueError("per-source mode requires N")
-        mats = [draw(seed.child(i)) for i in range(N)]
-        return ProjectionOperator(mats[0], family, "per-source", mats)
-    raise ValueError(f"unknown mode {mode!r}")
+    return ProjectionOperator(A, family)
 
 
 def temporal_project(ens: SourceEnsemble, op: ProjectionOperator) -> np.ndarray:
-    """Project every source: returns the m1 x N matrix whose column i is A_i X_i."""
+    """Project every source: returns the m1 x N matrix whose column i is A X_i."""
     X = ens.X
     if op.n != X.shape[1]:
         raise ValueError("projection width must match samples per source")
-    if op.mode == "shared":
-        return op.A @ X.T
-    return np.column_stack([op.per_source[i] @ X[i] for i in range(X.shape[0])])
+    return op.A @ X.T
 
 
 @dataclass
@@ -128,24 +110,3 @@ def expected_transmission_savings(pat: OnOffPattern) -> float:
     """Fraction of sources that stay silent under this pattern."""
     return 1.0 - pat.active_count / pat.diag.shape[0]
 
-
-def save_projection(op: ProjectionOperator, path: str, seed: Seed | None = None) -> None:
-    """A as CSV plus a sidecar with family/mode and the generating seed."""
-    np.savetxt(path, op.A, delimiter=",", fmt="%.17g")
-    lines = [f"family = {op.family}", f"mode = {op.mode}",
-             f"m1 = {op.m1}", f"n = {op.n}"]
-    if seed is not None:
-        lines += [f"seed_master = {seed.master}", f"seed_stream = {seed.stream}"]
-    with open(path + ".meta", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_projection(path: str) -> tuple[ProjectionOperator, dict]:
-    """Read back a save_projection pair; per-source operators regenerate from the seed."""
-    A = np.loadtxt(path, delimiter=",", ndmin=2)
-    meta = {}
-    with open(path + ".meta") as fh:
-        for line in fh:
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
-    return ProjectionOperator(A, meta.get("family", "gaussian"), "shared"), meta

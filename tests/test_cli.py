@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from csnc import cli
-from csnc.harness import ExperimentConfig, save_config
+from csnc.harness import ExperimentConfig, build_trial, decode_trial, load_config, save_config
 from csnc.mathcore import Seed
-from csnc.sources import SparsityProfile
+from csnc.re_analysis import estimate_re, save_re_report
+from csnc.sources import SparsityProfile, generate_ensemble, load_ensemble, make_dictionary_pair
 
 
 def write_cfg(path, **kw):
@@ -59,6 +61,13 @@ class TestParsing:
                      "cascade-check", "trial", "sweep", "calibrate", "budget"):
             assert verb in out
 
+    def test_help_lists_every_config_key(self, cfg_path, capsys):
+        keys = [line.split("=")[0].strip() for line in open(cfg_path) if "=" in line]
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        words = set(re.split(r"[\s,:]+", capsys.readouterr().out))
+        assert [k for k in keys if k != "schema" and k not in words] == []
+
     def test_trial_flags_parse(self, cfg_path):
         args = cli.build_parser().parse_args(["trial", "--config", cfg_path, "--seed", "7"])
         assert args.verb == "trial"
@@ -104,6 +113,10 @@ class TestTrialAndDecode:
         assert rc == 0
         assert "max_distortion=" in capsys.readouterr().out
 
+    def test_trial_line_shows_convergence(self, cfg_path, capsys):
+        assert cli.main(["trial", "--config", cfg_path]) == 0
+        assert "converged=True" in capsys.readouterr().out
+
     def test_seed_flag_overrides_config(self, cfg_path, tmp_path, capsys):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         cli.main(["trial", "--config", cfg_path, "--seed", "99", "--output", a])
@@ -132,6 +145,48 @@ class TestGenerateAndProject:
         assert rc == 0
         Y = np.loadtxt(out, delimiter=",")
         assert Y.shape == (8, 16)
+
+
+class TestArtifactsMatchTrial:
+    """generate, project, decode and re-estimate export objects of trial 0."""
+
+    def test_generate_is_the_trial_ensemble(self, cfg_path, tmp_path, capsys):
+        out = str(tmp_path / "ens.csv")
+        assert cli.main(["generate", "--config", cfg_path, "--output", out]) == 0
+        cfg = load_config(cfg_path)
+        trial = build_trial(cfg, 0)
+        ens, meta = load_ensemble(out)
+        assert np.array_equal(ens.X, trial.ens.X)
+        p = cfg.profile
+        dict_seed = Seed(int(meta["dict_seed_master"]), int(meta["dict_seed_stream"]))
+        dicts = make_dictionary_pair(meta["kind_phi"], meta["kind_psi"], p.n, p.N, dict_seed)
+        ens_seed = Seed(int(meta["seed_master"]), int(meta["seed_stream"]))
+        regen = generate_ensemble(p, dicts, (cfg.amp_lo, cfg.amp_hi), ens_seed)
+        assert np.array_equal(regen.X, trial.ens.X)
+
+    def test_project_is_the_trial_projection(self, cfg_path, tmp_path, capsys):
+        out = str(tmp_path / "Y.csv")
+        assert cli.main(["project", "--config", cfg_path, "--output", out]) == 0
+        Y = np.loadtxt(out, delimiter=",", ndmin=2)
+        assert np.array_equal(Y, build_trial(load_config(cfg_path), 0).Y)
+
+    def test_decode_is_the_stacked_reconstruction(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path / "two.cfg", receivers=2)
+        out = str(tmp_path / "dec.csv")
+        assert cli.main(["decode", "--config", cfg_path, "--output", out]) == 0
+        cfg = load_config(cfg_path)
+        results = decode_trial(cfg, build_trial(cfg, 0))
+        x_hat = np.loadtxt(out, delimiter=",", ndmin=2)
+        assert np.array_equal(x_hat, np.vstack([results[0].x_hat, results[1].x_hat]))
+
+    def test_re_estimate_uses_receiver_zero(self, cfg_path, tmp_path, capsys):
+        out, want = str(tmp_path / "re.csv"), str(tmp_path / "want.csv")
+        argv = ["re-estimate", "--config", cfg_path, "--supports", "10", "--vectors", "10"]
+        assert cli.main(argv + ["--output", out]) == 0
+        cfg = load_config(cfg_path)
+        G = build_trial(cfg, 0).transfers[0].G
+        save_re_report(estimate_re(G, cfg.profile.k2, 1.0, 10, 10, cfg.master_seed.child(9)), want)
+        assert open(out).read() == open(want).read()
 
 
 class TestAnalysisVerbs:

@@ -4,10 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import csnc.lasso
 from csnc.harness import (
     CalibrationError,
     ExperimentConfig,
+    build_trial,
     calibrate_c,
+    decode_trial,
     direct_recovery_trial,
     export_results,
     export_sweep,
@@ -101,6 +104,41 @@ class TestRunTrial:
             small_cfg(network_mode="mesh")
         with pytest.raises(ValueError):
             small_cfg(network_mode="example1", m=8, m2=20)  # m2 > m
+
+
+class TestBuildTrial:
+    def test_run_trial_scores_the_built_trial(self):
+        cfg = small_cfg(receivers=2)
+        trial = build_trial(cfg, 1)
+        results = decode_trial(cfg, trial)
+        rec = run_trial(cfg, 1)
+        assert rec.seed == trial.seed
+        assert np.array_equal(rec.per_source_distortion, [res.per_source_distortion for res in results])
+
+    @pytest.mark.parametrize("network", [{}, dict(network_mode="example1", m=24, connect_prob=0.5)],
+                             ids=["direct", "example1"])
+    def test_adding_a_receiver_leaves_receiver_zero_bit_identical(self, network):
+        one = build_trial(small_cfg(receivers=1, **network), 2)
+        two = build_trial(small_cfg(receivers=2, **network), 2)
+        assert len(two.transfers) == len(two.observations) == 2
+        assert np.array_equal(one.transfers[0].G, two.transfers[0].G)
+        assert np.array_equal(one.observations[0], two.observations[0])
+        assert one.observations[0].shape == (20, 14)
+
+
+class TestConvergenceFlag:
+    def test_converged_trial(self):
+        assert run_trial(small_cfg(), 0).converged is True
+
+    @pytest.mark.parametrize("capped", ["solve_lasso", "decode_spatial", "decode_temporal"])
+    def test_capped_solver_is_flagged(self, monkeypatch, capped):
+        fn = getattr(csnc.lasso, capped)
+
+        def one_sweep(*args, **kw):
+            return fn(*args, **{**kw, "max_iter": 1})
+
+        monkeypatch.setattr(csnc.lasso, capped, one_sweep)
+        assert run_trial(small_cfg(), 0).converged is False
 
 
 class TestTheoremBudget:

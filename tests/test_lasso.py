@@ -12,7 +12,6 @@ from csnc.lasso import (
     default_xi,
     kkt_check,
     solve_lasso,
-    write_trace_csv,
 )
 from csnc.mathcore import Seed
 from csnc.sources import make_dictionary
@@ -116,15 +115,6 @@ class TestSolveLasso:
             LassoProblem(z, bad, 0.1)
         with pytest.raises(ValueError):
             solve_lasso(LassoProblem(z, G, 0.1), max_iter=0)
-
-    def test_trace_csv(self, tmp_path):
-        prob = random_instance(2)
-        sol = solve_lasso(prob, keep_trace=True)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(sol, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "sweep,objective"
-        assert len(lines) == len(sol.trace) + 1
 
 
 class TestKktCheck:
@@ -311,6 +301,14 @@ class TestDecodeAll:
             assert np.allclose(res.y_hat[t], dicts.Psi @ res.mu_hat[:, t], atol=1e-10)
         for i in range(ens.X.shape[0]):
             assert np.allclose(res.x_hat[i], dicts.Phi @ res.theta_hat[i], atol=1e-10)
+
+    def test_per_source_projection_list_rejected(self):
+        ens, dicts, op, Y, tm, pats, obs = self._small_setup()
+        with pytest.raises(ValueError):
+            decode_all(
+                obs, tm.G, [p.diag for p in pats], dicts.Psi, dicts.Phi, [op.A] * 24,
+                xi_spatial=0.1, truth_X=ens.X,
+            )
 
     def test_empty_when_m1_zero(self):
         ens, dicts, op, Y, tm, pats, obs = self._small_setup()

@@ -9,10 +9,7 @@ from csnc.netsim import (
     build_example_topology,
     derive_transfer_matrix,
     direct_transfer_matrix,
-    load_topology,
     network_uses,
-    save_topology,
-    save_transfer_matrix,
     transmit,
 )
 from csnc.precoder import OnOffPattern, draw_onoff
@@ -180,26 +177,3 @@ class TestNetworkUses:
     def test_zero_m_rejected(self):
         with pytest.raises(ValueError):
             network_uses(3, 5, 0)
-
-
-class TestTopologyIO:
-    def test_round_trip(self, tmp_path):
-        topo = build_example_topology(10, 3, 0.5, Seed(20))
-        path = str(tmp_path / "topo.txt")
-        save_topology(topo, path)
-        loaded = load_topology(path)
-        assert loaded.node_count == topo.node_count
-        assert loaded.edges == topo.edges
-        assert loaded.source_nodes == topo.source_nodes
-        assert loaded.intermediate_nodes == topo.intermediate_nodes
-        assert loaded.receiver_nodes == topo.receiver_nodes
-
-    def test_transfer_matrix_export(self, tmp_path):
-        topo = build_example_topology(8, 3, 0.5, Seed(21))
-        tm = derive_transfer_matrix(topo, 3, "rademacher", Seed(22))
-        path = str(tmp_path / "G.csv")
-        save_transfer_matrix(tm, path)
-        G = np.loadtxt(path, delimiter=",")
-        assert np.array_equal(G, tm.G)
-        G1 = np.loadtxt(path + ".g1", delimiter=",")
-        assert np.array_equal(G1, tm.decomposition[0])

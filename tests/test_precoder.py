@@ -52,13 +52,6 @@ class TestTemporalProject:
         rhs = 2.0 * temporal_project(ens, op) + 3.0 * temporal_project(ens2, op)
         assert np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(rhs)) < 1e-10
 
-    def test_per_source_mode(self):
-        ens, _ = ensemble()
-        op = make_projection(4, 9, "gaussian", Seed(4), mode="per-source", N=12)
-        Y = temporal_project(ens, op)
-        for i in range(12):
-            assert np.allclose(Y[:, i], op.per_source[i] @ ens.X[i])
-
     def test_dimension_mismatch(self):
         ens, _ = ensemble()
         op = make_projection(4, 8, "gaussian", Seed(5))
@@ -130,22 +123,6 @@ class TestApplyOnoff:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             apply_onoff(np.ones(3), OnOffPattern(np.ones(4), 1.0))
-
-
-class TestProjectionIO:
-    def test_round_trip(self, tmp_path):
-        from csnc.precoder import load_projection, save_projection
-
-        op = make_projection(5, 9, "gaussian", Seed(31))
-        path = str(tmp_path / "A.csv")
-        save_projection(op, path, seed=Seed(31))
-        loaded, meta = load_projection(path)
-        assert np.array_equal(loaded.A, op.A)
-        assert loaded.family == "gaussian"
-        assert meta["seed_master"] == "31"
-        # the sidecar seed regenerates the operator exactly
-        regen = make_projection(5, 9, meta["family"], Seed(int(meta["seed_master"])))
-        assert np.array_equal(regen.A, op.A)
 
 
 class TestSavings:
