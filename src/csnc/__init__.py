@@ -1,11 +1,11 @@
 """csnc: a compressive-sensing joint source-channel-network coding lab.
 
 Submodules:
-    mathcore     seeded random matrices, singular values, soft threshold
+    mathcore     seeded random matrices and singular values
     sources      doubly sparse ensembles and dictionaries
     precoder     temporal projection and on-off spatial pre-coding
     netsim       topologies, transfer matrices, AWGN transmission
-    lasso        certified coordinate-descent solver and two-stage decode
+    lasso        certified homotopy solver and two-stage decode
     re_analysis  restricted-eigenvalue estimation and cascade checks
     harness      end-to-end trials, budget calibration, sweeps, exports
     cli          the `csnc` command-line tool
@@ -15,10 +15,8 @@ from .mathcore import (
     Seed,
     gaussian_matrix,
     matrix_rank,
-    max_singular_value,
     min_singular_value,
     rademacher_matrix,
-    soft_threshold,
 )
 from .sources import (
     DictionaryPair,
@@ -32,7 +30,6 @@ from .sources import (
 from .precoder import (
     OnOffPattern,
     ProjectionOperator,
-    apply_onoff,
     draw_onoff,
     expected_transmission_savings,
     make_projection,

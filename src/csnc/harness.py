@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -244,6 +243,9 @@ def run_trials(cfg: ExperimentConfig, indices=None, workers: int = 1) -> list[Tr
         indices = range(cfg.trials)
     indices = list(indices)
     if workers > 1 and len(indices) > 1:
+        # imported here: multiprocessing adds about 1.5 MB to every process that imports csnc
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             recs = list(pool.map(run_trial, [cfg] * len(indices), indices, chunksize=1))
     else:

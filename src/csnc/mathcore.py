@@ -108,24 +108,9 @@ def min_singular_value(M) -> float:
     return float(singular_values(M)[-1])
 
 
-def max_singular_value(M) -> float:
-    """Largest singular value of M (the spectral norm)."""
-    return float(singular_values(M)[0])
-
-
 def matrix_rank(M, tol: float = 1e-10) -> int:
     """Number of singular values exceeding tol * sigma_max."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     sv = singular_values(M)
     return int(np.count_nonzero(sv > tol * sv[0]))
-
-
-def soft_threshold(v, t):
-    """Shrink toward zero: sign(v) * max(|v| - t, 0).
-
-    Accepts scalars or arrays; t must be nonnegative.
-    """
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("threshold must be nonnegative")
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)

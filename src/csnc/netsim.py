@@ -37,13 +37,6 @@ class NetworkTopology:
     intermediate_nodes: list[int]
     receiver_nodes: list[int]
 
-    def layer_tag(self, node: int) -> str:
-        if node in self.source_nodes:
-            return "source"
-        if node in self.intermediate_nodes:
-            return "intermediate"
-        return "receiver"
-
 
 @dataclass
 class TransferMatrix:

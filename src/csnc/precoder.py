@@ -98,14 +98,6 @@ def draw_onoff(N: int, prob: float, seed: Seed) -> OnOffPattern:
     return OnOffPattern(diag, prob)
 
 
-def apply_onoff(y, pat: OnOffPattern) -> np.ndarray:
-    """Mask a cross-source vector: entrywise product with the 0/1 diagonal."""
-    v = as_vector(y, "y")
-    if v.shape[0] != pat.diag.shape[0]:
-        raise ValueError("vector length must match pattern length")
-    return v * pat.diag
-
-
 def expected_transmission_savings(pat: OnOffPattern) -> float:
     """Fraction of sources that stay silent under this pattern."""
     return 1.0 - pat.active_count / pat.diag.shape[0]

@@ -141,6 +141,27 @@ class TestConvergenceFlag:
         assert run_trial(small_cfg(), 0).converged is False
 
 
+class TestCertifiedSolves:
+    """Trials whose stage-1 solves coordinate descent left uncertified at its 10 000-sweep cap."""
+
+    def test_acceptance_trial_15(self):
+        cfg = ExperimentConfig(
+            profile=SparsityProfile(N=128, n=128, k1=4, k2=4),
+            m=32, m1=32, m2=32, sigma=0.1, D=0.0025, master_seed=Seed(20260808),
+        )
+        rec = run_trial(cfg, 15)
+        assert rec.converged is True
+        assert rec.success is True
+
+    def test_m2_sweep_cell_50_trial_5(self):
+        cfg = ExperimentConfig(
+            profile=SparsityProfile(N=512, n=16, k1=2, k2=2),
+            m=32, m1=4, m2=50, sigma=0.1, D=0.01, master_seed=Seed(20260808).child(4, 2),
+            debias=False, stage2=False, kind_phi="discrete-cosine", kind_psi="discrete-cosine",
+        )
+        assert run_trial(cfg, 5).converged is True
+
+
 class TestTheoremBudget:
     def test_unit_noise_to_distortion_ratio(self):
         plan = theorem_budget(10, 4, 4, 128, 128, 32, 0.1, 0.01)
@@ -305,10 +326,11 @@ class TestExports:
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_cfg(trials=2)
-        p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        p1, p2, p3 = (str(tmp_path / f"{name}.csv") for name in "abc")
         export_results(run_trials(cfg, range(2)), p1)
         export_results(run_trials(cfg, range(2)), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        export_results(run_trials(cfg, range(2), workers=2), p3)
+        assert open(p1, "rb").read() == open(p2, "rb").read() == open(p3, "rb").read()
 
     def test_summary(self, tmp_path):
         path = str(tmp_path / "s.txt")

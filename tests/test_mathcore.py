@@ -5,10 +5,9 @@ from csnc.mathcore import (
     Seed,
     gaussian_matrix,
     matrix_rank,
-    max_singular_value,
     min_singular_value,
     rademacher_matrix,
-    soft_threshold,
+    singular_values,
 )
 
 
@@ -79,11 +78,11 @@ class TestSingularValues:
     def test_diagonal(self):
         D = np.diag([1.0, 2.0, 3.0])
         assert min_singular_value(D) == pytest.approx(1.0, abs=1e-12)
-        assert max_singular_value(D) == pytest.approx(3.0, abs=1e-12)
+        assert singular_values(D)[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_identity(self):
         assert min_singular_value(np.eye(6)) == pytest.approx(1.0, abs=1e-12)
-        assert max_singular_value(np.eye(6)) == pytest.approx(1.0, abs=1e-12)
+        assert singular_values(np.eye(6))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_against_gram_eigen_oracle(self):
         M = gaussian_matrix(50, 50, 1.0, Seed(31))
@@ -94,7 +93,7 @@ class TestSingularValues:
     def test_ordering_over_random_matrices(self):
         for i in range(100):
             M = gaussian_matrix(6, 9, 1.0, Seed(1, i))
-            assert max_singular_value(M) >= min_singular_value(M)
+            assert singular_values(M)[0] >= min_singular_value(M)
 
     def test_nonfinite_rejected(self):
         M = np.eye(3)
@@ -107,7 +106,7 @@ class TestSingularValues:
         rng = Seed(8).rng()
         for i in range(20):
             M = gaussian_matrix(12, 7, 1.0, Seed(8, i))
-            lo, hi = min_singular_value(M), max_singular_value(M)
+            lo, hi = min_singular_value(M), singular_values(M)[0]
             y = rng.normal(size=7)
             my = float(np.dot(M @ y, M @ y))
             yy = float(np.dot(y, y))
@@ -130,25 +129,3 @@ class TestMatrixRank:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             matrix_rank(np.eye(2), tol=0.0)
-
-
-class TestSoftThreshold:
-    def test_analytic_values(self):
-        assert soft_threshold(1.0, 0.25) == pytest.approx(0.75)
-        assert soft_threshold(-0.1, 0.25) == 0.0
-        assert soft_threshold(0.3, 0.0) == pytest.approx(0.3)
-
-    def test_odd_and_nonexpansive(self):
-        rng = Seed(15).rng()
-        for _ in range(200):
-            a, b, t = rng.normal(), rng.normal(), abs(rng.normal())
-            assert soft_threshold(-a, t) == pytest.approx(-soft_threshold(a, t), abs=1e-15)
-            assert abs(soft_threshold(a, t) - soft_threshold(b, t)) <= abs(a - b) + 1e-15
-
-    def test_vectorized(self):
-        v = np.array([1.0, -0.1, 0.0])
-        assert np.allclose(soft_threshold(v, 0.25), [0.75, 0.0, 0.0])
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            soft_threshold(1.0, -0.1)

@@ -44,9 +44,8 @@ class TestBuildExampleTopology:
         recv = topo.receiver_nodes[0]
         second_stage = [e for e in topo.edges if e[1] == recv]
         assert len(second_stage) == 2
-        assert topo.layer_tag(0) == "source"
-        assert topo.layer_tag(6) == "intermediate"
-        assert topo.layer_tag(recv) == "receiver"
+        assert topo.source_nodes == list(range(6))
+        assert topo.intermediate_nodes == [6, 7]
 
 
 class TestDeriveTransferMatrix:

@@ -4,7 +4,6 @@ import pytest
 from csnc.mathcore import Seed
 from csnc.precoder import (
     OnOffPattern,
-    apply_onoff,
     draw_onoff,
     expected_transmission_savings,
     make_projection,
@@ -94,35 +93,6 @@ class TestDrawOnoff:
             draw_onoff(10, -0.1, Seed(0))
         with pytest.raises(ValueError):
             draw_onoff(10, 1.1, Seed(0))
-
-
-class TestApplyOnoff:
-    def test_all_ones_identity(self):
-        y = Seed(1).rng().normal(size=20)
-        pat = OnOffPattern(np.ones(20), 1.0)
-        assert np.array_equal(apply_onoff(y, pat), y)
-
-    def test_all_zeros(self):
-        y = Seed(2).rng().normal(size=20)
-        pat = OnOffPattern(np.zeros(20), 0.0)
-        assert np.all(apply_onoff(y, pat) == 0.0)
-
-    def test_masking_semantics(self):
-        y = np.arange(1.0, 7.0)
-        diag = np.array([1, 0, 1, 0, 0, 1], dtype=float)
-        out = apply_onoff(y, OnOffPattern(diag, 0.5))
-        assert np.array_equal(out, y * diag)
-        assert np.all(out[diag == 0] == 0.0)
-
-    def test_idempotent(self):
-        y = Seed(3).rng().normal(size=15)
-        pat = draw_onoff(15, 0.4, Seed(4))
-        once = apply_onoff(y, pat)
-        assert np.array_equal(apply_onoff(once, pat), once)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_onoff(np.ones(3), OnOffPattern(np.ones(4), 1.0))
 
 
 class TestSavings:
