@@ -1,11 +1,15 @@
 """Command-line entry point.
 
-One verb per invocation; flags override config-file values, which
-override the CSNC_SEED environment variable.  The per-trial verbs
+One verb per invocation.  The seed is the --seed flag's, else the
+config file's, else the CSNC_SEED environment variable's.  A config
+file holds an [experiment] section of the keys `csnc --help` lists;
+absent keys take ExperimentConfig's defaults, bools accept true/false,
+yes/no, on/off or 1/0, and an empty value is rejected except for
+xi_spatial and xi_temporal, where it means unset.  The per-trial verbs
 (generate, project, decode, re-estimate) act on trial 0 of the
 configured seed, the same trial `trial --index 0` runs.  Exit codes:
-0 success, 1 assertion or calibration failure, 2 usage error, 3 I/O
-error.
+0 success, 1 assertion or calibration failure, 2 usage error
+(including a malformed config file), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,17 +17,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import harness, re_analysis, sources
 from .mathcore import Seed
 
-CONFIG_SCHEMA_HELP = f"config schema version {harness.CONFIG_SCHEMA_VERSION}: " \
-    "[experiment] section with N, n, k1, k2, m, m1, m2, sigma, D, master_seed, " \
-    "seed_stream, kind_phi, kind_psi, network_mode, case, projection_family, " \
-    "coeff_family, connect_prob, receivers, trials, amp_lo, amp_hi, " \
-    "redraw_b_per_t, debias, xi_spatial, xi_temporal, xi_scale, stage2"
+CONFIG_SCHEMA_HELP = (
+    f"config schema version {harness.CONFIG_SCHEMA_VERSION} (absent keys take ExperimentConfig's "
+    "defaults): [experiment] section with " + ", ".join(harness.CONFIG_KEYS)
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,17 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> harness.ExperimentConfig:
     """Config with seed precedence: --seed flag > config file > CSNC_SEED env var."""
-    import re
-    from dataclasses import replace
-
-    cfg = harness.load_config(args.config)
-    with open(args.config) as fh:
-        file_has_seed = re.search(r"^\s*master_seed\s*=", fh.read(), re.M) is not None
     if args.seed is not None:
-        cfg = replace(cfg, master_seed=Seed(args.seed))
-    elif not file_has_seed and os.environ.get("CSNC_SEED"):
-        cfg = replace(cfg, master_seed=Seed(int(os.environ["CSNC_SEED"])))
-    return cfg
+        return replace(harness.load_config(args.config), master_seed=Seed(args.seed))
+    env = os.environ.get("CSNC_SEED")
+    return harness.load_config(args.config, default_seed=Seed(int(env)) if env else None)
 
 
 def dispatch(args) -> int:

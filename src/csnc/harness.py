@@ -19,10 +19,12 @@ verbs all start from it.
 
 from __future__ import annotations
 
+import configparser
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
+from typing import get_type_hints
 
 import numpy as np
 
@@ -57,7 +59,7 @@ CONFIG_SCHEMA_VERSION = 1
 
 @dataclass
 class ExperimentConfig:
-    """Everything one pipeline experiment needs; see load_config for the file schema."""
+    """Everything one pipeline experiment needs; its fields define the config file (save_config)."""
 
     profile: SparsityProfile
     m: int
@@ -92,10 +94,10 @@ class ExperimentConfig:
             raise ValueError("need 1 <= m2 <= N")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if not self.D > 0:
-            raise ValueError("D must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (self.D > 0 and math.isfinite(self.D)):
+            raise ValueError("D must be positive and finite")
+        if not (self.sigma >= 0 and math.isfinite(self.sigma)):
+            raise ValueError("sigma must be finite and nonnegative")
         if self.trials < 1 or self.receivers < 1:
             raise ValueError("need trials >= 1 and receivers >= 1")
         if self.network_mode not in NETWORK_MODES:
@@ -604,102 +606,102 @@ def write_summary(path: str, lines: dict) -> None:
             fh.write(f"{key}: {value}\n")
 
 
+def _format(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _parse(section, key: str, kind):
+    """One config value read as its field's type; empty means None for a `float | None` field only."""
+    if section[key] == "":
+        if kind == float | None:
+            return None
+        raise ValueError(f"config key {key} is empty")
+    get = {bool: section.getboolean, int: section.getint, str: section.get,
+           float: section.getfloat, float | None: section.getfloat}[kind]
+    try:
+        return get(key)
+    except ValueError as exc:
+        raise ValueError(f"config key {key}: {exc}") from None
+
+
+# file keys of the seed's attributes; the profile's attributes keep their names
+_SEED_KEYS = {"master": "master_seed", "stream": "seed_stream"}
+
+
+def _config_schema():
+    """(field, type, [(key, attribute, type)]) per ExperimentConfig field, in file order.
+
+    A field holding a dataclass (profile, master_seed) is written as one
+    key per attribute of that dataclass; attribute is None for the others.
+    """
+    schema = []
+    hints = get_type_hints(ExperimentConfig)
+    for f in fields(ExperimentConfig):
+        kind = hints[f.name]
+        if is_dataclass(kind):
+            sub = get_type_hints(kind)
+            keys = [(_SEED_KEYS.get(a.name, a.name), a.name, sub[a.name]) for a in fields(kind)]
+        else:
+            keys = [(f.name, None, kind)]
+        schema.append((f, kind, keys))
+    return schema
+
+
+_CONFIG_SCHEMA = _config_schema()
+CONFIG_KEYS = tuple(key for _, _, keys in _CONFIG_SCHEMA for key, _, _ in keys)
+
+
 def save_config(cfg: ExperimentConfig, path: str) -> None:
-    p = cfg.profile
-
-    def b(x):
-        return "true" if x else "false"
-
-    lines = [
-        "[experiment]",
-        f"schema = {CONFIG_SCHEMA_VERSION}",
-        f"N = {p.N}", f"n = {p.n}", f"k1 = {p.k1}", f"k2 = {p.k2}",
-        f"m = {cfg.m}", f"m1 = {cfg.m1}", f"m2 = {cfg.m2}",
-        f"sigma = {cfg.sigma!r}", f"D = {cfg.D!r}",
-        f"master_seed = {cfg.master_seed.master}", f"seed_stream = {cfg.master_seed.stream}",
-        f"kind_phi = {cfg.kind_phi}", f"kind_psi = {cfg.kind_psi}",
-        f"network_mode = {cfg.network_mode}", f"case = {cfg.case}",
-        f"projection_family = {cfg.projection_family}", f"coeff_family = {cfg.coeff_family}",
-        f"connect_prob = {cfg.connect_prob!r}",
-        f"receivers = {cfg.receivers}", f"trials = {cfg.trials}",
-        f"amp_lo = {cfg.amp_lo!r}", f"amp_hi = {cfg.amp_hi!r}",
-        f"redraw_b_per_t = {b(cfg.redraw_b_per_t)}", f"debias = {b(cfg.debias)}",
-        f"xi_spatial = {'' if cfg.xi_spatial is None else repr(cfg.xi_spatial)}",
-        f"xi_temporal = {'' if cfg.xi_temporal is None else repr(cfg.xi_temporal)}",
-        f"xi_scale = {cfg.xi_scale!r}",
-        f"stage2 = {b(cfg.stage2)}",
-    ]
+    """Write cfg as load_config reads it: `schema`, then CONFIG_KEYS in order."""
+    lines = ["[experiment]", f"schema = {CONFIG_SCHEMA_VERSION}"]
+    for f, _, keys in _CONFIG_SCHEMA:
+        value = getattr(cfg, f.name)
+        lines += [f"{key} = {_format(getattr(value, attr) if attr else value)}" for key, attr, _ in keys]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+def load_config(path: str, default_seed: Seed | None = None) -> ExperimentConfig:
     """Read an INI-style `key = value` config under an [experiment] section.
 
-    overrides (same keys as the file) take precedence over file values;
-    unknown keys raise.  See save_config for the full schema.
+    The keys are CONFIG_KEYS plus an ignored `schema`; one the file leaves
+    out takes ExperimentConfig's default, and default_seed, when given,
+    replaces the default seed.  Values are read by field type: bools
+    accept true/false, yes/no, on/off and 1/0, and an empty value is
+    rejected except for xi_spatial and xi_temporal, where it means unset.
+    A malformed file, an unknown key or a missing required key raises
+    ValueError.
     """
-    import configparser
-
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (N vs n)
-    with open(path) as fh:
-        parser.read_file(fh)
-    if "experiment" not in parser:
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file: {exc}") from None
+    if not parser.has_section("experiment"):
         raise ValueError("config file must have an [experiment] section")
-    raw = dict(parser["experiment"])
-    raw.pop("schema", None)
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-    required = ("N", "n", "k1", "k2", "m", "m1", "m2", "sigma", "D")
-    missing = [k for k in required if k not in raw or raw[k] == ""]
+    section = parser["experiment"]
+    unknown = sorted(set(section) - {"schema", *CONFIG_KEYS})
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    kw, missing = {}, []
+    for f, kind, keys in _CONFIG_SCHEMA:
+        default = default_seed if f.name == "master_seed" and default_seed is not None else f.default
+        parts = {}
+        for key, attr, key_kind in keys:
+            if key in section:
+                parts[attr] = _parse(section, key, key_kind)
+            elif default is MISSING:
+                missing.append(key)
+            else:
+                parts[attr] = getattr(default, attr) if attr else default
+        if len(parts) == len(keys):
+            kw[f.name] = kind(**parts) if is_dataclass(kind) else parts[None]
     if missing:
         raise ValueError(f"missing required config keys: {missing}")
-
-    def geti(key, default=None):
-        v = raw.pop(key, default)
-        return int(v) if v is not None else None
-
-    def getf(key, default=None):
-        v = raw.pop(key, default)
-        return float(v) if v not in (None, "") else None
-
-    def getb(key, default):
-        v = raw.pop(key, None)
-        if v is None:
-            return default
-        if isinstance(v, bool):
-            return v
-        return str(v).strip().lower() in ("1", "true", "yes", "on")
-
-    profile = SparsityProfile(geti("N"), geti("n"), geti("k1"), geti("k2"))
-    seed = Seed(geti("master_seed", 0), geti("seed_stream", 0))
-    cfg = ExperimentConfig(
-        profile=profile,
-        m=geti("m"),
-        m1=geti("m1"),
-        m2=geti("m2"),
-        sigma=getf("sigma"),
-        D=getf("D"),
-        master_seed=seed,
-        kind_phi=raw.pop("kind_phi", "random-orthonormal"),
-        kind_psi=raw.pop("kind_psi", "random-orthonormal"),
-        network_mode=raw.pop("network_mode", "direct"),
-        case=raw.pop("case", "case2-denseB"),
-        projection_family=raw.pop("projection_family", "gaussian"),
-        coeff_family=raw.pop("coeff_family", "rademacher"),
-        connect_prob=getf("connect_prob", 1.0 / 3.0),
-        receivers=geti("receivers", 1),
-        trials=geti("trials", 50),
-        amp_lo=getf("amp_lo", 8.0),
-        amp_hi=getf("amp_hi", 16.0),
-        redraw_b_per_t=getb("redraw_b_per_t", True),
-        debias=getb("debias", True),
-        xi_spatial=getf("xi_spatial", None),
-        xi_temporal=getf("xi_temporal", None),
-        xi_scale=getf("xi_scale", 2.0),
-        stage2=getb("stage2", True),
-    )
-    if raw:
-        raise ValueError(f"unknown config keys: {sorted(raw)}")
-    return cfg
+    return ExperimentConfig(**kw)

@@ -183,12 +183,12 @@ def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8) -
     return LassoSolution(coef, prob.objective(coef), kkt, steps, reached and kkt <= 10.0 * tol)
 
 
-def debias_refit(z, D, coef, support_tol: float = 0.0) -> np.ndarray:
+def debias_refit(z, D, coef) -> np.ndarray:
     """Least-squares refit of coef on its recovered support.
 
-    Coordinates with |coef| > support_tol are refit by unregularized
-    least squares on the corresponding design columns; the rest are set
-    to exactly zero.  Removes the l1 shrinkage bias.
+    The nonzero coordinates are refit by unregularized least squares on
+    the corresponding design columns; the rest are set to exactly zero.
+    Removes the l1 shrinkage bias.
     Refit values below 1e-12 of the peak are numerical zeros (columns
     the least squares assigned only float dust) and are cleared.
     """
@@ -196,7 +196,7 @@ def debias_refit(z, D, coef, support_tol: float = 0.0) -> np.ndarray:
     z = as_vector(z, "observations")
     c = as_vector(coef, "coef")
     out = np.zeros_like(c)
-    S = np.flatnonzero(np.abs(c) > support_tol)
+    S = np.flatnonzero(c)
     if S.size:
         sol, *_ = np.linalg.lstsq(D[:, S], z, rcond=None)
         sol[np.abs(sol) < 1e-12 * np.max(np.abs(sol), initial=0.0)] = 0.0
@@ -214,8 +214,6 @@ class DecodeResult:
     x_hat: N x n, row i = Phi @ theta_hat[i].
     per_source_distortion: length N, (1/n) ||X_i - x_hat_i||^2; None
         when no ground truth was supplied.
-    stage1_residual_rms: length N, per-source RMS of y_hat[:, i] - A X_i
-        against truth; None without truth.
     """
 
     mu_hat: np.ndarray
@@ -223,7 +221,6 @@ class DecodeResult:
     theta_hat: np.ndarray
     x_hat: np.ndarray
     per_source_distortion: np.ndarray | None = None
-    stage1_residual_rms: np.ndarray | None = None
     spatial_converged: bool = True
     temporal_converged: bool = True
 
@@ -287,7 +284,7 @@ def decode_all(
         Psi, Phi: spatial (N x N) and temporal (n x n) dictionaries.
         A: m1 x n projection matrix shared by all sources.
         xi_spatial: stage-1 regularization weight.
-        xi_temporal: stage-2 weight; a scalar, a length-N array, or None.
+        xi_temporal: stage-2 weight shared by all sources, or None.
             When None, a per-source weight is derived from the measured
             stage-1 residual scale if truth is available, otherwise from
             the median stage-1 fit residual.
@@ -353,7 +350,7 @@ def decode_all(
                     sigma_u = float(np.median(fit_rms))  # channel-scale fallback
                 xi_i = default_xi(sigma_u, m1, n, scale=xi_scale)
             else:
-                xi_i = float(np.atleast_1d(xi_temporal)[i]) if np.ndim(xi_temporal) else float(xi_temporal)
+                xi_i = float(xi_temporal)
             theta, xh, sol = decode_temporal(y_hat[:, i], A, Phi, xi_i, debias=debias)
             theta_hat[i] = theta
             x_hat[i] = xh
@@ -363,7 +360,4 @@ def decode_all(
     if truth_X is not None:
         distortion = np.sum((truth_X - x_hat) ** 2, axis=1) / n
 
-    return DecodeResult(
-        mu_hat, y_hat, theta_hat, x_hat, distortion, residual_rms,
-        spatial_ok, temporal_ok,
-    )
+    return DecodeResult(mu_hat, y_hat, theta_hat, x_hat, distortion, spatial_ok, temporal_ok)

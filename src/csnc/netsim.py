@@ -42,14 +42,13 @@ class NetworkTopology:
 class TransferMatrix:
     """End-to-end m2 x N linear map for one receiver.
 
-    decomposition holds (G1, G2) with G = scale * G2 G1 when the matrix
-    was derived from a two-layer topology.
+    decomposition holds (G1, G2) with G = G2 @ G1 exactly when the
+    matrix was derived from a two-layer topology; the normalization is
+    folded into G2.
     """
 
     G: np.ndarray
     decomposition: tuple[np.ndarray, np.ndarray] | None = None
-    receiver: int = 0
-    scale: float = 1.0
 
     def __post_init__(self):
         self.G = as_matrix(self.G, "G")
@@ -101,15 +100,14 @@ def derive_transfer_matrix(
     m2: int,
     coeff_family: str = "rademacher",
     seed: Seed = Seed(0),
-    normalize: bool = True,
 ) -> TransferMatrix:
     """Transfer matrix of a two-layer topology: G = G2 G1 (rescaled).
 
     G1[j, i] carries the coding coefficient of edge (source i ->
     intermediate j), zero when absent; coefficients come from
     coeff_family.  G2 is a dense m2 x m Gaussian modeling random linear
-    coding through the second stage, so m2 <= m.  With normalize, G is
-    scaled by 1/sqrt(m * edge_density) to unit entry variance.
+    coding through the second stage, so m2 <= m.  G is scaled by
+    1/sqrt(m * edge_density) to unit entry variance.
     """
     N = len(topo.source_nodes)
     m = len(topo.intermediate_nodes)
@@ -132,12 +130,10 @@ def derive_transfer_matrix(
             n_edges += 1
     G1 = coeffs * mask
     G2 = gaussian_matrix(m2, m, 1.0, seed.child(2))
-    scale = 1.0
-    if normalize and n_edges:
+    if n_edges:  # fold the normalization into the second stage: G = G2 G1 exactly
         density = n_edges / (m * N)
-        scale = 1.0 / np.sqrt(m * density)
-    G2 = scale * G2  # fold the normalization into the second stage: G = G2 G1 exactly
-    return TransferMatrix(G2 @ G1, (G1, G2), topo.receiver_nodes[0], scale)
+        G2 = (1.0 / np.sqrt(m * density)) * G2
+    return TransferMatrix(G2 @ G1, (G1, G2))
 
 
 def direct_transfer_matrix(m2: int, N: int, seed: Seed, family: str = "gaussian") -> TransferMatrix:

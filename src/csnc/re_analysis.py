@@ -181,6 +181,9 @@ class CascadeReport:
     gamma_used: float
 
 
+_MARGIN_TOL = 1e-10  # relative slack a cascade inequality may miss by through rounding
+
+
 def cascade_check(
     G,
     C1,
@@ -188,7 +191,6 @@ def cascade_check(
     spec: ConeSpec,
     num_vectors: int = 100,
     seed: Seed = Seed(0),
-    margin_tol: float = 1e-10,
 ) -> CascadeReport:
     """Pointwise probe of the RE cascade inequalities on sampled cone vectors.
 
@@ -201,7 +203,7 @@ def cascade_check(
     exact on-support directions of spec.support, all sampled vectors,
     and their membership-passing images.  With that instantiation every
     step of the chain is an exact pointwise inequality, so any
-    violation beyond the margin_tol relative margin indicates an
+    violation beyond the _MARGIN_TOL relative margin indicates an
     implementation bug, not sampling noise.  worst_margin is the
     smallest relative slack seen.
     """
@@ -245,7 +247,7 @@ def cascade_check(
         rhs = lam1**2 * (Gy @ Gy) / q
         margin = (lhs - rhs) / max(rhs, 1e-300)
         worst = min(worst, margin)
-        if margin < -margin_tol:
+        if margin < -_MARGIN_TOL:
             left_bad += 1
 
         if not ok:
@@ -256,7 +258,7 @@ def cascade_check(
         rhs = gamma * lam2**2 * (y @ y)
         margin = (lhs - rhs) / max(rhs, 1e-300)
         worst = min(worst, margin)
-        if margin < -margin_tol:
+        if margin < -_MARGIN_TOL:
             right_bad += 1
     return CascadeReport(left_bad, right_bad, worst, skipped, num_vectors, lam1, lam2, gamma)
 

@@ -226,6 +226,21 @@ class TestAnalysisVerbs:
         rc = cli.main(["trial", "--config", str(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize("old, new", [
+        ("amp_lo = 8.0", "amp_lo ="),
+        ("debias = true", "debias = maybe"),
+        ("\nm = 4\n", "\nm = 4\nm = 4\n"),
+        ("[experiment]\n", ""),
+    ], ids=["empty-number", "bad-bool", "duplicate-key", "no-section"])
+    def test_malformed_config_is_usage_error(self, cfg_path, capsys, old, new):
+        text = open(cfg_path).read()
+        assert old in text
+        with open(cfg_path, "w") as fh:
+            fh.write(text.replace(old, new))
+        assert cli.main(["trial", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "Traceback" not in err
+
 
 class TestSeedPrecedence:
     def test_env_seed_used_when_config_has_none(self, tmp_path, monkeypatch, capsys):

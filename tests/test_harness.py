@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import csnc.lasso
 from csnc.harness import (
+    CASES,
+    CONFIG_KEYS,
+    NETWORK_MODES,
     CalibrationError,
     ExperimentConfig,
     build_trial,
@@ -24,7 +30,9 @@ from csnc.harness import (
     write_summary,
 )
 from csnc.mathcore import Seed
-from csnc.sources import SparsityProfile
+from csnc.netsim import COEFF_FAMILIES
+from csnc.precoder import PROJECTION_FAMILIES
+from csnc.sources import DICTIONARY_KINDS, SparsityProfile
 
 
 def small_cfg(**kw):
@@ -104,6 +112,13 @@ class TestRunTrial:
             small_cfg(network_mode="mesh")
         with pytest.raises(ValueError):
             small_cfg(network_mode="example1", m=8, m2=20)  # m2 > m
+
+    @pytest.mark.parametrize("bad", [dict(D=math.inf), dict(sigma=math.inf), dict(sigma=math.nan)],
+                             ids=["D=inf", "sigma=inf", "sigma=nan"])
+    def test_non_finite_sigma_and_D_rejected(self, bad):
+        # D = inf would count every trial as a success
+        with pytest.raises(ValueError):
+            small_cfg(**bad)
 
 
 class TestBuildTrial:
@@ -353,12 +368,83 @@ class TestConfigIO:
         with pytest.raises(ValueError):
             load_config(str(path))
 
-    def test_overrides(self, tmp_path):
-        cfg = small_cfg()
-        path = str(tmp_path / "exp.cfg")
+    def test_default_seed(self, tmp_path):
+        cfg = small_cfg(master_seed=Seed(42, 3))
+        path = tmp_path / "exp.cfg"
+        save_config(cfg, str(path))
+        assert load_config(str(path), default_seed=Seed(7)) == cfg  # the file's seed wins
+        lines = [l for l in path.read_text().splitlines() if not l.startswith(("master_seed", "seed_stream"))]
+        path.write_text("\n".join(lines) + "\n")
+        assert load_config(str(path), default_seed=Seed(7, 1)) == replace(cfg, master_seed=Seed(7, 1))
+        assert load_config(str(path)) == replace(cfg, master_seed=Seed(0))
+
+    def test_absent_keys_take_defaults(self, tmp_path):
+        path = tmp_path / "min.cfg"
+        path.write_text("[experiment]\nN = 8\nn = 6\nk1 = 1\nk2 = 2\nm = 2\nm1 = 4\nm2 = 5\n"
+                        "sigma = 0.1\nD = 0.01\n")
+        want = ExperimentConfig(SparsityProfile(8, 6, 1, 2), m=2, m1=4, m2=5, sigma=0.1, D=0.01)
+        assert load_config(str(path)) == want
+
+
+@st.composite
+def configs(draw):
+    """A random valid ExperimentConfig."""
+    N, n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    mode = draw(st.sampled_from(NETWORK_MODES))
+    if mode == "identity":
+        m2 = N
+    else:
+        m2 = draw(st.integers(1, min(N, m) if mode == "example1" else N))
+    amp_lo = draw(st.floats(1e-3, 1e3))
+    xi = st.none() | st.floats(1e-12, 10.0)
+    return ExperimentConfig(
+        profile=SparsityProfile(N, n, draw(st.integers(0, n)), draw(st.integers(0, N))),
+        m=m, m1=draw(st.integers(1, n)), m2=m2,
+        sigma=draw(st.floats(0.0, 1e3)), D=draw(st.floats(1e-12, 1e3)),
+        master_seed=Seed(draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**64 - 1))),
+        kind_phi=draw(st.sampled_from(DICTIONARY_KINDS)), kind_psi=draw(st.sampled_from(DICTIONARY_KINDS)),
+        network_mode=mode, case=draw(st.sampled_from(CASES)),
+        projection_family=draw(st.sampled_from(PROJECTION_FAMILIES)),
+        coeff_family=draw(st.sampled_from(COEFF_FAMILIES)),
+        connect_prob=draw(st.floats(1 / 3, 1.0)),
+        receivers=draw(st.integers(1, 8)), trials=draw(st.integers(1, 1000)),
+        amp_lo=amp_lo, amp_hi=draw(st.floats(amp_lo, 1e4)),
+        redraw_b_per_t=draw(st.booleans()), debias=draw(st.booleans()),
+        xi_spatial=draw(xi), xi_temporal=draw(xi),
+        xi_scale=draw(st.floats(0.1, 10.0)), stage2=draw(st.booleans()),
+    )
+
+
+BOOL_KEYS = ("redraw_b_per_t", "debias", "stage2")
+BOOL_SPELLINGS = ("true", "false", "yes", "no", "on", "off", "1", "0")
+
+
+class TestConfigFuzz:
+    @given(cfg=configs())
+    def test_round_trip(self, tmp_path_factory, cfg):
+        path = str(tmp_path_factory.mktemp("cfg") / "exp.cfg")
         save_config(cfg, path)
-        loaded = load_config(path, overrides={"sigma": "0.25"})
-        assert loaded.sigma == 0.25
+        assert load_config(path) == cfg
+
+    @given(cfg=configs(), corruption=st.sampled_from(["empty", "unknown", "bool"]), data=st.data())
+    def test_one_corrupted_key_raises_value_error(self, tmp_path_factory, cfg, corruption, data):
+        path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+        save_config(cfg, str(path))
+        lines = path.read_text().splitlines()
+        if corruption == "unknown":
+            names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,11}", fullmatch=True)
+            lines.append(data.draw(names.filter(lambda k: k not in CONFIG_KEYS + ("schema",))) + " = 1")
+        else:
+            if corruption == "empty":
+                keys, values = [k for k in CONFIG_KEYS if k not in ("xi_spatial", "xi_temporal")], st.just("")
+            else:
+                keys = BOOL_KEYS
+                values = st.from_regex(r"[a-z0-9]{1,6}", fullmatch=True).filter(lambda v: v not in BOOL_SPELLINGS)
+            key, value = data.draw(st.sampled_from(keys)), data.draw(values)
+            lines = [f"{key} = {value}" if l.split(" = ")[0] == key else l for l in lines]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            load_config(str(path))
 
 
 class TestCaseParity:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from csnc.lasso import (
@@ -103,10 +103,6 @@ class TestSolveLasso:
             solve_lasso(LassoProblem(z, G, 0.1), max_iter=0)
 
 
-# derandomized and database-free, so the suite stays reproducible
-battery = settings(max_examples=25, deadline=None, derandomize=True, database=None)
-
-
 @st.composite
 def instances(draw):
     """A small random instance, with xi anywhere from 1e-3 lam_max to past the null threshold."""
@@ -123,7 +119,6 @@ def instances(draw):
 
 
 class TestSolveLassoProperties:
-    @battery
     @given(prob=instances(), alpha=st.floats(1e-3, 1e3))
     def test_scale_equivariance(self, prob, alpha):
         base = solve_lasso(prob)
@@ -131,7 +126,6 @@ class TestSolveLassoProperties:
         assert base.converged and scaled.converged
         assert np.allclose(scaled.coef, alpha * base.coef, rtol=1e-8, atol=1e-10 * alpha)
 
-    @battery
     @given(prob=instances(), perm_seed=st.integers(0, 2**32 - 1))
     def test_column_permutation_equivariance(self, prob, perm_seed):
         perm = Seed(perm_seed).rng().permutation(prob.p)
@@ -140,7 +134,6 @@ class TestSolveLassoProperties:
         assert base.converged and permuted.converged
         assert np.allclose(permuted.coef, base.coef[perm], rtol=1e-8, atol=1e-10)
 
-    @battery
     @given(prob=instances())
     def test_certified_solve_is_optimal(self, prob):
         tol = 1e-8
