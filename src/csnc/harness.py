@@ -28,7 +28,10 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .lasso import DecodeResult, decode_all, decode_spatial, default_xi
+# solve_lasso and debias_refit are called through the module, where tracers wrap them;
+# decode_spatial is no longer called here, but tracers still wrap it under this module's name
+from . import lasso
+from .lasso import DecodeResult, LassoProblem, decode_all, decode_spatial, default_xi  # noqa: F401
 from .mathcore import Seed
 from .netsim import (
     ChannelModel,
@@ -110,6 +113,8 @@ class ExperimentConfig:
             raise ValueError("identity network mode requires m2 == N")
         if not (0 < self.amp_lo <= self.amp_hi):
             raise ValueError("amplitude range must satisfy 0 < lo <= hi")
+        if not (1.0 / 3.0 <= self.connect_prob <= 1.0):
+            raise ValueError("connect_prob must lie in [1/3, 1]")
 
 
 @dataclass
@@ -210,17 +215,14 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     # legitimately leave sub-noise junk on zero sources, which a strict
     # nonzero comparison would score as failure despite tiny distortion
     support_tol = 1e-3 * max(theta_peak, 1.0)
+    true_support = np.abs(theta_true) > support_tol
 
     distortions = np.array([res.per_source_distortion for res in results])
     support_hits = 0
     stage1_errs: list[float] = []
     for res in results:
         stage1_errs.extend(np.sum((res.y_hat - trial.Y) ** 2, axis=1).tolist())
-        for i in range(p.N):
-            rec = np.flatnonzero(np.abs(res.theta_hat[i]) > support_tol)
-            true = np.flatnonzero(np.abs(theta_true[i]) > support_tol)
-            if np.array_equal(rec, true):
-                support_hits += 1
+        support_hits += int(np.all((np.abs(res.theta_hat) > support_tol) == true_support, axis=1).sum())
 
     max_distortion = float(distortions.max()) if distortions.size else 0.0
     return TrialRecord(
@@ -410,7 +412,8 @@ def direct_recovery_trial(
 
     Draws a k-sparse truth with magnitudes in amp_range, a direct
     Gaussian q x p transfer matrix, and AWGN at level sigma; decodes
-    with the spatial decoder (identity dictionary).  When xi is None it
+    by one LASSO solve on G, the spatial decode's design for an all-on
+    pattern and the identity dictionary.  When xi is None it
     defaults to the sigma-driven weight, or to a small data-relative
     level in the noiseless case.  Returns (sq_err, support_exact,
     rel_err).
@@ -429,7 +432,9 @@ def direct_recovery_trial(
             xi = default_xi(sigma, q, p, scale=xi_scale)
         else:
             xi = max(1e-4 * np.max(np.abs(tm.G.T @ z)) / q, 1e-12)
-    mu_hat, _, _ = decode_spatial(z, tm.G, pat.diag, np.eye(p), xi, debias=debias)
+    mu_hat = lasso.solve_lasso(LassoProblem(z, tm.G, xi)).coef
+    if debias:
+        mu_hat = lasso.debias_refit(z, tm.G, mu_hat)
     sq_err = float(np.sum((mu - mu_hat) ** 2))
     rec = np.flatnonzero(mu_hat)
     support_exact = rec.size == k and np.array_equal(rec, support)

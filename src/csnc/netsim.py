@@ -83,7 +83,7 @@ def build_example_topology(N: int, m: int, connect_prob: float, seed: Seed) -> N
     """
     if N < 3 or m < 1:
         raise ValueError("need N >= 3 and m >= 1")
-    if connect_prob < 1.0 / 3.0 or connect_prob > 1.0:
+    if not (1.0 / 3.0 <= connect_prob <= 1.0):  # also rejects NaN
         raise ValueError("connect_prob must lie in [1/3, 1]")
     rng = seed.rng()
     sources = list(range(N))

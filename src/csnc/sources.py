@@ -12,6 +12,7 @@ coefficient vector is k2-sparse because M has at most k2 nonzero rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,11 @@ class SparsityProfile:
 
 @dataclass
 class DictionaryPair:
-    """Temporal (n x n) and spatial (N x N) dictionaries, both invertible."""
+    """Temporal (n x n) and spatial (N x N) dictionaries, both invertible.
+
+    Supplied matrices are checked: finite, square, and smallest singular
+    value above 1e-8.
+    """
 
     Phi: np.ndarray
     Psi: np.ndarray
@@ -75,7 +80,8 @@ def make_dictionary(kind: str, dim: int, seed: Seed | None = None) -> np.ndarray
     identity            -> I
     random-orthonormal  -> Q from the QR of a seeded Gaussian matrix,
                            sign-fixed so the factorization is unique
-    discrete-cosine     -> orthonormal type-II DCT basis
+    discrete-cosine     -> orthonormal type-II DCT basis, read-only and
+                           shared between calls of the same dim
     gaussian-invertible -> seeded Gaussian with entries N(0, 1/dim),
                            redrawn in the measure-zero singular case
     """
@@ -84,12 +90,7 @@ def make_dictionary(kind: str, dim: int, seed: Seed | None = None) -> np.ndarray
     if kind == "identity":
         return np.eye(dim)
     if kind == "discrete-cosine":
-        j = np.arange(dim)
-        k = j[:, None]
-        C = np.cos(np.pi * (2 * j[None, :] + 1) * k / (2 * dim))
-        C *= np.sqrt(2.0 / dim)
-        C[0, :] = np.sqrt(1.0 / dim)
-        return C.T  # columns are the cosine atoms
+        return _dct(dim)
     if seed is None:
         raise ValueError(f"kind {kind!r} requires a seed")
     if kind == "random-orthonormal":
@@ -104,11 +105,30 @@ def make_dictionary(kind: str, dim: int, seed: Seed | None = None) -> np.ndarray
     raise ValueError(f"unknown dictionary kind {kind!r}")
 
 
+@functools.lru_cache(maxsize=8)
+def _dct(dim: int) -> np.ndarray:
+    """The orthonormal type-II DCT basis, built once per size and shared read-only."""
+    j = np.arange(dim)
+    k = j[:, None]
+    C = np.cos(np.pi * (2 * j[None, :] + 1) * k / (2 * dim))
+    C *= np.sqrt(2.0 / dim)
+    C[0, :] = np.sqrt(1.0 / dim)
+    C.flags.writeable = False  # the view below inherits it and cannot lift it
+    return C.T  # columns are the cosine atoms
+
+
 def make_dictionary_pair(kind_phi, kind_psi, n, N, seed: Seed) -> DictionaryPair:
-    """Convenience builder for (Phi n x n, Psi N x N) from kinds and one seed."""
-    Phi = make_dictionary(kind_phi, n, seed.child(0))
-    Psi = make_dictionary(kind_psi, N, seed.child(1))
-    return DictionaryPair(Phi, Psi, kind_phi, kind_psi)
+    """Convenience builder for (Phi n x n, Psi N x N) from kinds and one seed.
+
+    make_dictionary builds every kind invertible (orthonormal, or
+    Gaussian with its smallest singular value checked), so the pair
+    skips DictionaryPair's SVD check.
+    """
+    pair = object.__new__(DictionaryPair)
+    pair.Phi = make_dictionary(kind_phi, n, seed.child(0))
+    pair.Psi = make_dictionary(kind_psi, N, seed.child(1))
+    pair.kind_phi, pair.kind_psi = kind_phi, kind_psi
+    return pair
 
 
 def generate_ensemble(

@@ -231,7 +231,8 @@ class TestAnalysisVerbs:
         ("debias = true", "debias = maybe"),
         ("\nm = 4\n", "\nm = 4\nm = 4\n"),
         ("[experiment]\n", ""),
-    ], ids=["empty-number", "bad-bool", "duplicate-key", "no-section"])
+        ("connect_prob = 0.3333333333333333", "connect_prob = nan"),
+    ], ids=["empty-number", "bad-bool", "duplicate-key", "no-section", "nan-connect-prob"])
     def test_malformed_config_is_usage_error(self, cfg_path, capsys, old, new):
         text = open(cfg_path).read()
         assert old in text

@@ -120,15 +120,30 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             small_cfg(**bad)
 
+    @pytest.mark.parametrize("prob", [math.nan, math.inf, 0.2, 1.5], ids=["nan", "inf", "low", "high"])
+    def test_connect_prob_outside_range_rejected(self, prob):
+        # with NaN, example1 draws no edge: all-zero transfer matrices and a "converged" failed trial
+        with pytest.raises(ValueError, match="connect_prob"):
+            small_cfg(network_mode="example1", m=24, connect_prob=prob)
+
 
 class TestBuildTrial:
     def test_run_trial_scores_the_built_trial(self):
-        cfg = small_cfg(receivers=2)
-        trial = build_trial(cfg, 1)
-        results = decode_trial(cfg, trial)
-        rec = run_trial(cfg, 1)
-        assert rec.seed == trial.seed
-        assert np.array_equal(rec.per_source_distortion, [res.per_source_distortion for res in results])
+        for cfg in (small_cfg(receivers=2), small_cfg(receivers=2, m1=6)):  # support rates 1 and 7/16
+            trial = build_trial(cfg, 1)
+            results = decode_trial(cfg, trial)
+            rec = run_trial(cfg, 1)
+            assert rec.seed == trial.seed
+            assert np.array_equal(rec.per_source_distortion, [res.per_source_distortion for res in results])
+            # reference: the per-source comparison of the recovered and true supports
+            theta_true = trial.dicts.Psi @ trial.ens.core
+            tol = 1e-3 * max(np.max(np.abs(theta_true)), 1.0)
+            hits = sum(
+                np.array_equal(np.flatnonzero(np.abs(res.theta_hat[i]) > tol),
+                               np.flatnonzero(np.abs(theta_true[i]) > tol))
+                for res in results for i in range(cfg.profile.N)
+            )
+            assert rec.support_recovery_rate == hits / (2 * cfg.profile.N)
 
     @pytest.mark.parametrize("network", [{}, dict(network_mode="example1", m=24, connect_prob=0.5)],
                              ids=["direct", "example1"])
@@ -175,6 +190,28 @@ class TestCertifiedSolves:
             debias=False, stage2=False, kind_phi="discrete-cosine", kind_psi="discrete-cosine",
         )
         assert run_trial(cfg, 5).converged is True
+
+
+@st.composite
+def lossless_configs(draw):
+    """A noiseless config whose network and projection are identities, so decoding must be exact."""
+    N, n = draw(st.integers(2, 20)), draw(st.integers(2, 20))
+    return ExperimentConfig(
+        profile=SparsityProfile(N, n, draw(st.integers(0, n)), draw(st.integers(0, N))),
+        m=4, m1=n, m2=N, sigma=0.0, D=1e-12,
+        master_seed=Seed(draw(st.integers(0, 2**64 - 1))),
+        kind_phi=draw(st.sampled_from(["identity", "discrete-cosine"])),
+        kind_psi=draw(st.sampled_from(["identity", "discrete-cosine"])),
+        network_mode="identity", projection_family="identity",
+    )
+
+
+class TestLosslessRecoveryProperty:
+    @given(cfg=lossless_configs(), index=st.integers(0, 1000))
+    def test_identity_network_recovers_exactly(self, cfg, index):
+        rec = run_trial(cfg, index)
+        assert rec.converged and rec.success
+        assert rec.max_distortion <= 1e-12
 
 
 class TestTheoremBudget:

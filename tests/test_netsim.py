@@ -39,6 +39,12 @@ class TestBuildExampleTopology:
         with pytest.raises(ValueError):
             build_example_topology(10, 3, 0.2, Seed(0))
 
+    @pytest.mark.parametrize("prob", [1.5, float("nan")], ids=["high", "nan"])
+    def test_connectivity_outside_range_rejected(self, prob):
+        # NaN fails both one-sided comparisons, so the range is checked as one interval
+        with pytest.raises(ValueError):
+            build_example_topology(10, 3, prob, Seed(0))
+
     def test_layers_wired_to_receiver(self):
         topo = build_example_topology(6, 2, 0.5, Seed(1))
         recv = topo.receiver_nodes[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import csnc.mathcore
 from csnc.mathcore import Seed, min_singular_value, singular_values
 from csnc.sources import (
     DictionaryPair,
@@ -43,6 +44,41 @@ class TestMakeDictionary:
         a = make_dictionary("random-orthonormal", 6, Seed(9))
         b = make_dictionary("random-orthonormal", 6, Seed(9))
         assert np.array_equal(a, b)
+
+
+class TestDictionaryPair:
+    @pytest.mark.parametrize("Phi, Psi", [
+        (np.ones((4, 4)), np.eye(5)),  # rank 1
+        (np.eye(4), np.diag([1.0, 1.0, 1e-12])),  # numerically singular
+        (np.ones((3, 4)), np.eye(5)),  # not square
+        (np.eye(4), np.full((5, 5), np.nan)),  # not finite
+    ], ids=["singular-phi", "singular-psi", "non-square", "non-finite"])
+    def test_supplied_matrices_are_checked(self, Phi, Psi):
+        with pytest.raises(ValueError):
+            DictionaryPair(Phi, Psi)
+
+    @pytest.mark.parametrize("kind", ["identity", "random-orthonormal", "discrete-cosine"])
+    def test_built_pair_makes_no_svd(self, monkeypatch, kind):
+        calls = []
+        svd = csnc.mathcore.singular_values
+
+        def counted(M):
+            calls.append(np.shape(M))
+            return svd(M)
+
+        monkeypatch.setattr(csnc.mathcore, "singular_values", counted)
+        pair = make_dictionary_pair(kind, kind, 6, 9, Seed(4))
+        assert calls == []
+        assert pair.Phi.shape == (6, 6) and pair.Psi.shape == (9, 9)
+        assert (pair.kind_phi, pair.kind_psi) == (kind, kind)
+
+    def test_discrete_cosine_is_shared_and_read_only(self):
+        C = make_dictionary("discrete-cosine", 8)
+        with pytest.raises(ValueError):
+            C[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            C.flags.writeable = True
+        assert np.array_equal(make_dictionary("discrete-cosine", 8), C)
 
 
 def small_pair(N=16, n=10, seed=7):
