@@ -64,6 +64,7 @@ from .re_analysis import (
     error_bound,
     estimate_re,
     sample_cone_vector,
+    sample_cone_vectors,
 )
 from .harness import (
     BudgetPlan,

@@ -170,6 +170,8 @@ def dispatch(args) -> int:
         return EXIT_OK if est.gamma_hat > 0 else EXIT_FAIL
 
     if verb == "cascade-check":
+        if args.triples < 1:
+            raise ValueError("--triples must be >= 1")
         rng_seed = seed.child(10)
         total_left = total_right = total_skip = 0
         worst = float("inf")

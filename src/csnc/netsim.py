@@ -90,7 +90,8 @@ def build_example_topology(N: int, m: int, connect_prob: float, seed: Seed) -> N
     intermediates = list(range(N, N + m))
     receiver = N + m
     present = rng.random((m, N)) < connect_prob
-    edges = [(i, N + j) for j in range(m) for i in range(N) if present[j, i]]
+    rows, cols = np.nonzero(present)  # row-major: intermediate by intermediate
+    edges = list(zip(cols.tolist(), (N + rows).tolist()))
     edges += [(N + j, receiver) for j in range(m)]
     return NetworkTopology(N + m + 1, edges, sources, intermediates, [receiver])
 
@@ -115,19 +116,24 @@ def derive_transfer_matrix(
         raise ValueError("need 1 <= m2 <= m (the second stage cannot create information)")
     if coeff_family not in COEFF_FAMILIES:
         raise ValueError(f"unknown coefficient family {coeff_family!r}")
-    src_index = {node: i for i, node in enumerate(topo.source_nodes)}
-    mid_index = {node: j for j, node in enumerate(topo.intermediate_nodes)}
+    edges = np.asarray(topo.edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size and (edges.min() < 0 or edges.max() >= topo.node_count):
+        raise ValueError("edges must join nodes 0 .. node_count - 1")
+    # position of every node in the source and intermediate lists, -1 elsewhere
+    src_index = np.full(topo.node_count, -1)
+    src_index[topo.source_nodes] = np.arange(N)
+    mid_index = np.full(topo.node_count, -1)
+    mid_index[topo.intermediate_nodes] = np.arange(m)
 
     if coeff_family == "rademacher":
         coeffs = rademacher_matrix(m, N, seed.child(1))
     else:
         coeffs = gaussian_matrix(m, N, 1.0, seed.child(1))
+    rows, cols = mid_index[edges[:, 1]], src_index[edges[:, 0]]
+    layer1 = (rows >= 0) & (cols >= 0)
+    n_edges = int(np.count_nonzero(layer1))
     mask = np.zeros((m, N))
-    n_edges = 0
-    for a, b in topo.edges:
-        if a in src_index and b in mid_index:
-            mask[mid_index[b], src_index[a]] = 1.0
-            n_edges += 1
+    mask[rows[layer1], cols[layer1]] = 1.0
     G1 = coeffs * mask
     G2 = gaussian_matrix(m2, m, 1.0, seed.child(2))
     if n_edges:  # fold the normalization into the second stage: G = G2 G1 exactly

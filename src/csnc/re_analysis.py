@@ -45,8 +45,8 @@ class ConeSpec:
             raise ValueError("support must be nonempty")
         if S[0] < 0 or S[-1] >= self.dim:
             raise ValueError("support indices must lie in [0, dim)")
-        if self.alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
+        if not (1.0 <= self.alpha < math.inf):  # also rejects NaN
+            raise ValueError("alpha must be finite and >= 1")
         object.__setattr__(self, "support", S)
 
     @property
@@ -56,39 +56,61 @@ class ConeSpec:
         return np.flatnonzero(mask)
 
 
+def _rowdot(A, B) -> np.ndarray:
+    """a_i @ b_i for every row pair, rounded exactly as the 1-D product a_i @ b_i."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _apply(M, Y) -> np.ndarray:
+    """M @ y for every row y of Y, rounded exactly as the matrix-vector product M @ y."""
+    return np.matmul(M, Y[:, :, None])[:, :, 0]
+
+
+def _cone_margins(Y, spec: ConeSpec) -> np.ndarray:
+    """alpha * ||y_S||_1 - ||y_{S^c}||_1 for every row y of Y."""
+    on = np.abs(Y[:, list(spec.support)]).sum(axis=1)
+    return spec.alpha * on - np.abs(Y[:, spec.complement]).sum(axis=1)
+
+
 def cone_membership_margin(y, spec: ConeSpec) -> float:
     """alpha * ||y_S||_1 - ||y_{S^c}||_1; nonnegative inside the cone."""
-    y = np.asarray(y, dtype=float)
+    return float(_cone_margins(np.asarray(y, dtype=float)[None, :], spec)[0])
+
+
+def sample_cone_vectors(spec: ConeSpec, seeds, slack: float | None = None) -> np.ndarray:
+    """Random unit vectors in C(S; alpha), one row per seed.
+
+    Row i is drawn from seeds[i]'s generator alone: the on-support block
+    i.i.d. normal, then the off-support block i.i.d. normal, then the
+    slack uniform in [0, 1] unless given.  The off block is rescaled so
+    its l1 norm equals slack * alpha * ||y_S||_1; slack = 0 puts the
+    vector exactly on the support.  A row does not depend on the other
+    seeds, so it equals sample_cone_vector(spec, seeds[i], slack).
+    """
+    if slack is not None and not (0.0 <= slack <= 1.0):
+        raise ValueError("slack must lie in [0, 1]")
     S = list(spec.support)
-    on = np.sum(np.abs(y[S]))
-    off = np.sum(np.abs(y[spec.complement]))
-    return float(spec.alpha * on - off)
+    comp = spec.complement
+    draws = np.empty((len(seeds), len(S) + comp.size))
+    slacks = np.full(len(seeds), 0.0 if slack is None else float(slack))
+    for i, seed in enumerate(seeds):
+        rng = seed.rng()
+        rng.standard_normal(out=draws[i])
+        if comp.size and slack is None:
+            slacks[i] = rng.random()
+    on, off = draws[:, : len(S)], draws[:, len(S) :]
+    on[~on.any(axis=1), 0] = 1.0  # measure-zero guard
+    Y = np.zeros((len(seeds), spec.dim))
+    Y[:, S] = on
+    budget = slacks * spec.alpha * np.abs(on).sum(axis=1)
+    l1 = np.abs(off).sum(axis=1)
+    Y[:, comp] = off * np.divide(budget, l1, out=np.zeros_like(l1), where=l1 > 0)[:, None]
+    return Y / np.sqrt(_rowdot(Y, Y))[:, None]
 
 
 def sample_cone_vector(spec: ConeSpec, seed: Seed, slack: float | None = None) -> np.ndarray:
-    """Random unit vector in C(S; alpha).
-
-    The on- and off-support blocks are drawn i.i.d. normal and the off
-    block is rescaled so its l1 norm equals slack * alpha * ||y_S||_1,
-    with slack uniform in [0, 1] unless given.  slack = 0 puts the
-    vector exactly on the support.
-    """
-    rng = seed.rng()
-    y = np.zeros(spec.dim)
-    S = list(spec.support)
-    comp = spec.complement
-    y[S] = rng.normal(size=len(S))
-    if np.all(y[S] == 0):  # measure-zero guard
-        y[S[0]] = 1.0
-    if comp.size:
-        off = rng.normal(size=comp.size)
-        s = rng.uniform() if slack is None else float(slack)
-        if not (0.0 <= s <= 1.0):
-            raise ValueError("slack must lie in [0, 1]")
-        budget = s * spec.alpha * np.sum(np.abs(y[S]))
-        l1 = np.sum(np.abs(off))
-        y[comp] = off * (budget / l1) if l1 > 0 else 0.0
-    return y / np.linalg.norm(y)
+    """Random unit vector in C(S; alpha): the one-row case of sample_cone_vectors."""
+    return sample_cone_vectors(spec, [seed], slack)[0]
 
 
 @dataclass
@@ -109,9 +131,10 @@ class REEstimate:
     per_support_gamma: list[tuple[tuple[int, ...], float]] = field(default_factory=list)
 
 
-def _ratio(G, y, q):
-    Gy = G @ y
-    return float((Gy @ Gy) / q / (y @ y))
+def _ratios(G, Y, q) -> np.ndarray:
+    """(1/q) ||G y||^2 / ||y||^2 for every row y of Y."""
+    GY = _apply(G, Y)
+    return _rowdot(GY, GY) / q / _rowdot(Y, Y)
 
 
 def estimate_re(
@@ -128,13 +151,18 @@ def estimate_re(
     p <= 20 and num_supports covers all of them, otherwise sampled.
     Per support the search combines the exact on-support minimum (the
     smallest eigenvalue of the on-support Gram block over q) with
-    sampled cone vectors.  Deterministic given the seed: stream i is
-    reserved for support i.
+    sampled cone vectors.  Deterministic given the seed: stream
+    child(1, s) is reserved for support s, and its child(i) for that
+    support's cone vector i.
     """
     G = as_matrix(G, "G")
     q, p = G.shape
     if sparsity < 1 or sparsity > p:
         raise ValueError("need 1 <= sparsity <= p")
+    if num_supports < 1:
+        raise ValueError("num_supports must be >= 1")
+    if num_vectors_per_support < 0:
+        raise ValueError("num_vectors_per_support must be >= 0")
     total = math.comb(p, sparsity)
     if p <= 20 and num_supports >= total:
         supports = [tuple(c) for c in itertools.combinations(range(p), sparsity)]
@@ -146,26 +174,24 @@ def estimate_re(
     best_vec = None
     best_sup = None
     per_support = []
-    samples = 0
     for s_idx, S in enumerate(supports):
         sub = G[:, list(S)]
-        gram = sub.T @ sub / q
-        w, V = np.linalg.eigh(gram)
+        w, V = np.linalg.eigh(sub.T @ sub / q)
         local = float(w[0])
         vec = np.zeros(p)
         vec[list(S)] = V[:, 0]
         spec = ConeSpec(p, S, alpha)
-        sseed = seed.child(1, s_idx)
-        for i in range(num_vectors_per_support):
-            y = sample_cone_vector(spec, sseed.child(i))
-            samples += 1
-            r = _ratio(G, y, q)
-            if r < local:
-                local = r
-                vec = y
+        if num_vectors_per_support:
+            sseed = seed.child(1, s_idx)
+            Y = sample_cone_vectors(spec, [sseed.child(i) for i in range(num_vectors_per_support)])
+            r = _ratios(G, Y, q)
+            j = int(np.argmin(r))  # the first of equal minima, as a strict-less scan keeps
+            if r[j] < local:
+                local, vec = float(r[j]), Y[j].copy()
         per_support.append((S, local))
         if local < best:
             best, best_vec, best_sup = local, vec, S
+    samples = len(supports) * num_vectors_per_support
     return REEstimate(best, alpha, sparsity, samples, best_vec, best_sup, per_support)
 
 
@@ -215,6 +241,8 @@ def cascade_check(
         raise ValueError("C1 must be q x q and C2 p x p")
     if spec.dim != p:
         raise ValueError("cone dimension must match design columns")
+    if num_vectors < 1:
+        raise ValueError("num_vectors must be >= 1")
     lam1 = min_singular_value(C1)
     lam2 = min_singular_value(C2)
 
@@ -222,45 +250,30 @@ def cascade_check(
     sub = G[:, S]
     gamma_S = float(np.linalg.eigvalsh(sub.T @ sub / q)[0])
 
-    ys = [sample_cone_vector(spec, seed.child(i)) for i in range(num_vectors)]
-    images = [C2 @ y for y in ys]
-    members = [cone_membership_margin(v, spec) >= 0 for v in images]
+    Y = sample_cone_vectors(spec, [seed.child(i) for i in range(num_vectors)])
+    V = _apply(C2, Y)  # the images C2 y
+    members = _cone_margins(V, spec) >= 0
+    GY, GV = _apply(G, Y), _apply(G, V)
+    gy, gv, yy, vv = _rowdot(GY, GY), _rowdot(GV, GV), _rowdot(Y, Y), _rowdot(V, V)
+    counted = members & (vv > 0)
+    gamma = min(gamma_S, float(np.min(gy / q / yy)),
+                float(np.min(gv[counted] / q / vv[counted], initial=math.inf)))
 
-    def ratio(v):
-        Gv = G @ v
-        return float((Gv @ Gv) / q / (v @ v))
-
-    gamma = gamma_S
-    for y in ys:
-        gamma = min(gamma, ratio(y))
-    for v, ok in zip(images, members):
-        if ok and float(v @ v) > 0:
-            gamma = min(gamma, ratio(v))
-
-    left_bad = 0
-    right_bad = 0
-    skipped = 0
-    worst = math.inf
-    for y, v, ok in zip(ys, images, members):
-        Gy = G @ y
-        lhs = (C1 @ Gy) @ (C1 @ Gy) / q
-        rhs = lam1**2 * (Gy @ Gy) / q
-        margin = (lhs - rhs) / max(rhs, 1e-300)
-        worst = min(worst, margin)
-        if margin < -_MARGIN_TOL:
-            left_bad += 1
-
-        if not ok:
-            skipped += 1
-            continue
-        Gv = G @ v
-        lhs = (Gv @ Gv) / q
-        rhs = gamma * lam2**2 * (y @ y)
-        margin = (lhs - rhs) / max(rhs, 1e-300)
-        worst = min(worst, margin)
-        if margin < -_MARGIN_TOL:
-            right_bad += 1
-    return CascadeReport(left_bad, right_bad, worst, skipped, num_vectors, lam1, lam2, gamma)
+    CGY = _apply(C1, GY)
+    rhs = lam1**2 * gy / q
+    left = (_rowdot(CGY, CGY) / q - rhs) / np.maximum(rhs, 1e-300)
+    rhs = gamma * lam2**2 * yy[members]
+    right = (gv[members] / q - rhs) / np.maximum(rhs, 1e-300)
+    return CascadeReport(
+        violations_left=int(np.count_nonzero(left < -_MARGIN_TOL)),
+        violations_right=int(np.count_nonzero(right < -_MARGIN_TOL)),
+        worst_margin=float(min(left.min(), right.min(initial=math.inf))),
+        membership_skipped=int(np.count_nonzero(~members)),
+        samples=num_vectors,
+        lambda1=lam1,
+        lambda2=lam2,
+        gamma_used=gamma,
+    )
 
 
 def error_bound(delta: float, gamma: float, sigma: float, k: int, p: int, q: int) -> float:

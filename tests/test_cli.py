@@ -197,6 +197,16 @@ class TestAnalysisVerbs:
         assert "violations_left=0" in out
         assert "violations_right=0" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["re-estimate", "--supports", "0"],
+        ["re-estimate", "--vectors", "-3"],
+        ["cascade-check", "--triples", "0"],
+        ["cascade-check", "--vectors", "0"],
+    ], ids=["no-supports", "negative-vectors", "no-triples", "no-vectors"])
+    def test_vacuous_battery_is_usage_error(self, cfg_path, capsys, argv):
+        assert cli.main(argv[:1] + ["--config", cfg_path] + argv[1:]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_re_estimate(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "re.csv")
         rc = cli.main(["re-estimate", "--config", cfg_path, "--supports", "10",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from csnc.mathcore import Seed, matrix_rank
+from csnc.mathcore import Seed, gaussian_matrix, matrix_rank, rademacher_matrix
 from csnc.netsim import (
     ChannelModel,
     NetworkTopology,
@@ -52,6 +52,47 @@ class TestBuildExampleTopology:
         assert len(second_stage) == 2
         assert topo.source_nodes == list(range(6))
         assert topo.intermediate_nodes == [6, 7]
+
+
+def _edge_loop(N, m, prob, seed):
+    """Edge list and first-layer mask built edge by edge: the reference for the array code."""
+    present = seed.rng().random((m, N)) < prob
+    edges = [(i, N + j) for j in range(m) for i in range(N) if present[j, i]]
+    edges += [(N + j, N + m) for j in range(m)]
+    src_index = {node: i for i, node in enumerate(range(N))}
+    mid_index = {node: j for j, node in enumerate(range(N, N + m))}
+    mask = np.zeros((m, N))
+    n_edges = 0
+    for a, b in edges:
+        if a in src_index and b in mid_index:
+            mask[mid_index[b], src_index[a]] = 1.0
+            n_edges += 1
+    return edges, mask, n_edges
+
+
+class TestTopologyMatchesEdgeLoop:
+    @pytest.mark.parametrize("seed_index", range(4))
+    @pytest.mark.parametrize("family", ["rademacher", "gaussian"])
+    def test_bit_identical_to_the_edge_loop(self, seed_index, family):
+        N, m, m2 = 60, 12, 9
+        s = Seed(31, seed_index)
+        topo = build_example_topology(N, m, 0.4, s.child(0))
+        edges, mask, n_edges = _edge_loop(N, m, 0.4, s.child(0))
+        assert topo.edges == edges
+        assert all(type(a) is int and type(b) is int for a, b in topo.edges)
+        tm = derive_transfer_matrix(topo, m2, family, s.child(1))
+        G1, G2 = tm.decomposition
+        coeffs = (rademacher_matrix(m, N, s.child(1).child(1)) if family == "rademacher"
+                  else gaussian_matrix(m, N, 1.0, s.child(1).child(1)))
+        G2_ref = (1.0 / np.sqrt(m * (n_edges / (m * N)))) * gaussian_matrix(m2, m, 1.0, s.child(1).child(2))
+        assert np.array_equal(G1, coeffs * mask)
+        assert np.array_equal(G2, G2_ref)
+        assert np.array_equal(tm.G, G2_ref @ (coeffs * mask))
+
+    def test_edges_outside_the_node_range_rejected(self):
+        topo = NetworkTopology(3, [(0, 1), (1, 3)], [0], [1], [2])
+        with pytest.raises(ValueError):
+            derive_transfer_matrix(topo, 1, "rademacher", Seed(0))
 
 
 class TestDeriveTransferMatrix:

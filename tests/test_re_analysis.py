@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from csnc.mathcore import Seed
 from csnc.re_analysis import (
     ConeSpec,
@@ -12,6 +14,7 @@ from csnc.re_analysis import (
     error_bound,
     estimate_re,
     sample_cone_vector,
+    sample_cone_vectors,
     save_re_report,
 )
 
@@ -24,6 +27,11 @@ class TestConeSpec:
             ConeSpec(5, (7,))
         with pytest.raises(ValueError):
             ConeSpec(5, (1,), alpha=0.5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            ConeSpec(30, (1, 2), alpha)
 
     def test_complement(self):
         spec = ConeSpec(5, (0, 3))
@@ -52,6 +60,14 @@ class TestSampleConeVector:
     def test_slack_validation(self):
         with pytest.raises(ValueError):
             sample_cone_vector(ConeSpec(4, (0,)), Seed(0), slack=1.5)
+
+    def test_batch_rows_are_single_draws(self):
+        spec = ConeSpec(9, (2, 7), alpha=1.5)
+        seeds = [Seed(4).child(i) for i in range(7)]
+        Y = sample_cone_vectors(spec, seeds)
+        for y, s in zip(Y, seeds):
+            assert np.array_equal(y, sample_cone_vector(spec, s))
+        assert sample_cone_vectors(spec, []).shape == (0, 9)
 
 
 class TestEstimateRe:
@@ -113,6 +129,23 @@ class TestEstimateRe:
         with pytest.raises(ValueError):
             estimate_re(np.eye(4), 5, seed=Seed(0))
 
+    @pytest.mark.parametrize("supports, vectors", [(0, 5), (-1, 5), (3, -1)],
+                             ids=["no-supports", "negative-supports", "negative-vectors"])
+    def test_vacuous_search_rejected(self, supports, vectors):
+        with pytest.raises(ValueError):
+            estimate_re(np.eye(4), 2, 1.0, supports, vectors, Seed(0))
+
+    def test_zero_vectors_gives_the_on_support_floor(self):
+        G = Seed(19).rng().normal(size=(10, 30))
+        est = estimate_re(G, 3, 1.0, 4, 0, Seed(20))
+        assert est.samples_used == 0
+        floors = [oracles.on_support_floor(G, S) for S, _ in est.per_support_gamma]
+        assert [g for _, g in est.per_support_gamma] == pytest.approx(floors, rel=1e-12)
+
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_re(Seed(21).rng().normal(size=(6, 12)), 3, alpha=math.nan, seed=Seed(0))
+
     def test_report_csv(self, tmp_path):
         G = Seed(17).rng().normal(size=(6, 8))
         est = estimate_re(G, 2, 1.0, num_supports=5, num_vectors_per_support=5, seed=Seed(18))
@@ -165,6 +198,127 @@ class TestCascadeCheck:
             cascade_check(G, np.eye(19), np.eye(40), spec, 10, Seed(0))
         with pytest.raises(ValueError):
             cascade_check(G, np.eye(20), np.eye(39), spec, 10, Seed(0))
+
+    @pytest.mark.parametrize("vectors", [0, -2])
+    def test_no_vectors_rejected(self, vectors):
+        G, spec, s = self._setup(23)
+        with pytest.raises(ValueError):
+            cascade_check(G, np.eye(20), np.eye(40), spec, vectors, s)
+
+
+def _rel_close(a, b, scale=0.0):
+    """Within 1e-12 relative, where a value is never read on a finer scale than `scale`.
+
+    An RE level is a ratio bounded by ||G||_2^2 / q, and its rounding error
+    is relative to that bound: a rank-deficient support's floor of 1e-17
+    is zero to every method that computes it.
+    """
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b), scale)
+
+
+def _ratio_scale(G):
+    return float(np.linalg.norm(G, 2) ** 2 / G.shape[0])
+
+
+def _design(seed, q, p):
+    return Seed(seed).rng().normal(size=(q, p))
+
+
+class TestMatchesPerVectorLoop:
+    """The batched batteries against oracles' per-vector loops, on random inputs."""
+
+    # q >= sparsity keeps the on-support floors apart, so the least one is not a rounding tie
+    @given(seed=st.integers(0, 2**32), q=st.integers(4, 16), p=st.integers(4, 40),
+           sparsity=st.integers(1, 4), alpha=st.floats(1.0, 5.0),
+           supports=st.integers(1, 8), vectors=st.integers(0, 12))
+    def test_estimate_re(self, seed, q, p, sparsity, alpha, supports, vectors):
+        sparsity = min(sparsity, p)
+        G = _design(seed, q, p)
+        s = Seed(seed).child(1)
+        est = estimate_re(G, sparsity, alpha, supports, vectors, s)
+        rows = oracles.re_estimate_loop(G, sparsity, alpha, supports, vectors, s)
+        assert [S for S, _ in est.per_support_gamma] == [S for S, _, _ in rows]
+        scale = _ratio_scale(G)
+        assert all(_rel_close(g, level, scale) for (_, g), (_, level, _) in zip(est.per_support_gamma, rows))
+        assert est.samples_used == len(rows) * vectors
+        s_idx = min(range(len(rows)), key=lambda j: rows[j][1])  # the first least level
+        S, level, arg = rows[s_idx]
+        assert est.argmin_support == S
+        assert _rel_close(est.gamma_hat, level, scale)
+        if arg is not None:
+            want = sample_cone_vector(ConeSpec(p, S, alpha), s.child(1, s_idx).child(arg))
+            assert np.array_equal(est.argmin_vector, want)
+            ref = oracles.cone_vector(p, S, alpha, s.child(1, s_idx).child(arg))
+            assert np.allclose(est.argmin_vector, ref, rtol=1e-12, atol=1e-15)
+
+    @given(seed=st.integers(0, 2**32), q=st.integers(2, 12), p=st.integers(3, 30),
+           sparsity=st.integers(1, 4), alpha=st.floats(1.0, 4.0), vectors=st.integers(1, 40),
+           mix1=st.floats(0.0, 0.5), mix2=st.floats(0.0, 0.2))
+    def test_cascade_check(self, seed, q, p, sparsity, alpha, vectors, mix1, mix2):
+        s = Seed(seed)
+        G = _design(seed, q, p)
+        C1 = np.eye(q) + mix1 * s.child(2).rng().normal(size=(q, q)) / math.sqrt(q)
+        C2 = np.eye(p) + mix2 * s.child(3).rng().normal(size=(p, p)) / math.sqrt(p)
+        support = tuple(sorted(s.child(4).rng().choice(p, min(sparsity, p), replace=False)))
+        rep = cascade_check(G, C1, C2, ConeSpec(p, support, alpha), vectors, s.child(5))
+        ref = oracles.cascade_loop(G, C1, C2, support, alpha, vectors, s.child(5))
+        for key in ("violations_left", "violations_right", "membership_skipped"):
+            assert getattr(rep, key) == ref[key], key
+        assert rep.samples == vectors
+        assert _rel_close(rep.lambda1, ref["lambda1"])
+        assert _rel_close(rep.lambda2, ref["lambda2"])
+        assert _rel_close(rep.gamma_used, ref["gamma_used"], _ratio_scale(G))
+        # worst_margin is itself a relative slack, so it is compared on that scale
+        assert abs(rep.worst_margin - ref["worst_margin"]) <= 1e-12 * max(1.0, abs(ref["worst_margin"]))
+
+    @given(seed=st.integers(0, 2**32), dim=st.integers(1, 30), k=st.integers(1, 30),
+           alpha=st.floats(1.0, 10.0), count=st.integers(1, 20))
+    def test_sampled_rows(self, seed, dim, k, alpha, count):
+        support = tuple(sorted(Seed(seed).rng().choice(dim, min(k, dim), replace=False)))
+        spec = ConeSpec(dim, support, alpha)
+        seeds = [Seed(seed).child(i) for i in range(count)]
+        Y = sample_cone_vectors(spec, seeds)
+        for y, sd in zip(Y, seeds):
+            assert np.array_equal(y, sample_cone_vector(spec, sd))
+            assert np.allclose(y, oracles.cone_vector(dim, support, alpha, sd), rtol=1e-12, atol=1e-15)
+
+
+class TestStreamLayout:
+    """One generator per cone vector, keyed exactly as documented."""
+
+    @pytest.fixture
+    def rng_keys(self, monkeypatch):
+        keys = []
+        real = Seed.rng
+
+        def counting(self):
+            keys.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Seed, "rng", counting)
+        return keys
+
+    def test_estimate_re_sampled_supports(self, rng_keys):
+        G = _design(30, 8, 24)
+        rng_keys.clear()
+        s = Seed(31)
+        estimate_re(G, 3, 1.0, 4, 6, s)
+        assert rng_keys == [s.child(0)] + [s.child(1, j).child(i) for j in range(4) for i in range(6)]
+
+    def test_estimate_re_enumerated_supports(self, rng_keys):
+        G = _design(32, 5, 6)
+        rng_keys.clear()
+        s = Seed(33)
+        est = estimate_re(G, 2, 1.0, 100, 3, s)
+        assert len(est.per_support_gamma) == 15
+        assert rng_keys == [s.child(1, j).child(i) for j in range(15) for i in range(3)]
+
+    def test_cascade_check(self, rng_keys):
+        G = _design(34, 6, 10)
+        rng_keys.clear()
+        s = Seed(35)
+        cascade_check(G, np.eye(6), np.eye(10), ConeSpec(10, (1, 4), 1.0), 17, s)
+        assert rng_keys == [s.child(i) for i in range(17)]
 
 
 class TestErrorBound:
