@@ -8,8 +8,10 @@ yes/no, on/off or 1/0, and an empty value is rejected except for
 xi_spatial and xi_temporal, where it means unset.  The per-trial verbs
 (generate, project, decode, re-estimate) act on trial 0 of the
 configured seed, the same trial `trial --index 0` runs.  Exit codes:
-0 success, 1 assertion or calibration failure, 2 usage error
-(including a malformed config file), 3 I/O error.
+0 success, 1 assertion or calibration failure, 2 usage error (a count
+flag below its least value, reported as "invalid argument --<flag>", or
+a malformed config file, reported as "invalid configuration"), 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# count flags per verb and their least values; a flag below its floor is a usage error named by the flag
+_COUNT_FLAGS = {
+    "re-estimate": (("supports", 1), ("vectors", 0)),
+    "cascade-check": (("triples", 1), ("vectors", 1)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,8 +178,6 @@ def dispatch(args) -> int:
         return EXIT_OK if est.gamma_hat > 0 else EXIT_FAIL
 
     if verb == "cascade-check":
-        if args.triples < 1:
-            raise ValueError("--triples must be >= 1")
         rng_seed = seed.child(10)
         total_left = total_right = total_skip = 0
         worst = float("inf")
@@ -227,6 +233,10 @@ def dispatch(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, floor in _COUNT_FLAGS.get(args.verb, ()):
+        if getattr(args, flag) < floor:
+            print(f"invalid argument --{flag}: must be >= {floor}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return dispatch(args)
     except harness.CalibrationError as exc:

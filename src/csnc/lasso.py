@@ -12,8 +12,9 @@ checkable certificate.
 
 On top of the solver sit the two decoding stages of the pipeline: a
 spatial decode per time index (design G B Psi) and a temporal decode
-per source (design A Phi), plus decode_all which runs both stages over
-a whole receiver observation block.
+per source (design A Phi), each on a prebuilt design, plus decode_all,
+which builds a receiver's designs once and runs both stages over its
+whole observation block.
 """
 
 from __future__ import annotations
@@ -134,24 +135,27 @@ def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8) -
         raise ValueError("tol must be positive")
     G, z, q, xi = prob.G, prob.z, prob.q, prob.xi
     coef = np.zeros(prob.p)
-    active = np.zeros(0, dtype=int)
-    signs = np.zeros(0)
+    active: list[int] = []
+    signs: list[float] = []
     lam = float(np.max(np.abs(G.T @ z))) / q
     barred = None  # the column that just left may not rejoin on the next step
     steps = 0
     reached = lam <= xi
+    R = np.empty((q, 2))  # residual and G_A d: the right-hand sides of one G^T product
     try:
         while not reached and steps < max_iter:
             GA = G[:, active]
             d = q * np.linalg.solve(GA.T @ GA, signs)
-            c, a = (G.T @ np.column_stack([z - GA @ coef[active], GA @ d]) / q).T
+            coef_a = coef[active]
+            R[:, 0] = z - GA @ coef_a
+            R[:, 1] = GA @ d
+            c, a = (G.T @ R / q).T
             # after a step g an inactive c_j - g a_j meets lam - g or -(lam - g);
             # one moving (almost) parallel to the bound, such as a copy of an
             # active column, never joins, and one past it by rounding joins at once
-            with np.errstate(divide="ignore", invalid="ignore"):
-                up = np.where(1.0 - a > 1e-10, (lam - c) / (1.0 - a), np.inf)
-                down = np.where(1.0 + a > 1e-10, (lam + c) / (1.0 + a), np.inf)
-                cross = np.where(coef[active] * d < 0, -coef[active] / d, np.inf)
+            up = np.divide(lam - c, 1.0 - a, out=np.full(prob.p, np.inf), where=1.0 - a > 1e-10)
+            down = np.divide(lam + c, 1.0 + a, out=np.full(prob.p, np.inf), where=1.0 + a > 1e-10)
+            cross = np.divide(-coef_a, d, out=np.full(len(active), np.inf), where=coef_a * d < 0)
             join = np.maximum(np.minimum(up, down), 0.0)
             join[active] = np.inf
             if barred is not None:
@@ -166,17 +170,16 @@ def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8) -
             if step == end:
                 reached = True
             elif step == join[j]:
-                active = np.append(active, j)
-                signs = np.append(signs, 1.0 if up[j] <= down[j] else -1.0)
+                active.append(j)
+                signs.append(1.0 if up[j] <= down[j] else -1.0)
             else:
                 k = int(np.argmin(cross))
-                barred = active[k]
+                barred = active.pop(k)
                 coef[barred] = 0.0
-                active = np.delete(active, k)
-                signs = np.delete(signs, k)
+                del signs[k]
         if reached:
             GA = G[:, active]
-            coef[active] = np.linalg.solve(GA.T @ GA, GA.T @ z - q * xi * signs)
+            coef[active] = np.linalg.solve(GA.T @ GA, GA.T @ z - q * xi * np.asarray(signs))
     except np.linalg.LinAlgError:
         reached = False
     kkt = kkt_check(prob, coef)
@@ -225,18 +228,13 @@ class DecodeResult:
     temporal_converged: bool = True
 
 
-def decode_spatial(Z, G, pattern_diag, Psi, xi, debias=True, max_iter=10_000, tol=1e-8):
-    """Stage-1 decode: recover (mu, y_hat) from Z = G B Psi mu + W.
+def decode_spatial(Z, D, Psi, xi, debias=True, max_iter=10_000, tol=1e-8):
+    """Stage-1 decode: recover (mu, y_hat) from Z = D mu + W.
 
-    Builds the design D = G diag(b) Psi and solves the LASSO with
-    q = len(Z).  Returns (mu, y_hat, solution) with y_hat = Psi mu.
+    D is the prebuilt design G diag(b) Psi (decode_all builds it once
+    per on-off pattern).  Solves the LASSO with q = len(Z) and returns
+    (mu, y_hat, solution) with y_hat = Psi mu.
     """
-    G = as_matrix(G, "G")
-    Psi = as_matrix(Psi, "Psi")
-    b = as_vector(pattern_diag, "pattern")
-    if G.shape[1] != b.shape[0] or Psi.shape[0] != b.shape[0]:
-        raise ValueError("pattern length must match G columns and Psi rows")
-    D = (G * b[None, :]) @ Psi
     sol = solve_lasso(LassoProblem(Z, D, xi), max_iter=max_iter, tol=tol)
     mu = sol.coef
     if debias:
@@ -244,15 +242,13 @@ def decode_spatial(Z, G, pattern_diag, Psi, xi, debias=True, max_iter=10_000, to
     return mu, Psi @ mu, sol
 
 
-def decode_temporal(y_row, A, Phi, xi, debias=True, max_iter=10_000, tol=1e-8):
-    """Stage-2 decode: recover (theta, x_hat) from y_row ~ A Phi theta.
+def decode_temporal(y_row, D, Phi, xi, debias=True, max_iter=10_000, tol=1e-8):
+    """Stage-2 decode: recover (theta, x_hat) from y_row ~ D theta.
 
-    Solves the LASSO with design A @ Phi and q = len(y_row); returns
+    D is the prebuilt design A Phi (decode_all builds it once per
+    receiver).  Solves the LASSO with q = len(y_row) and returns
     (theta, x_hat, solution) with x_hat = Phi theta.
     """
-    A = as_matrix(A, "A")
-    Phi = as_matrix(Phi, "Phi")
-    D = A @ Phi
     sol = solve_lasso(LassoProblem(y_row, D, xi), max_iter=max_iter, tol=tol)
     theta = sol.coef
     if debias:
@@ -276,6 +272,10 @@ def decode_all(
     run_temporal=True,
 ):
     """Run both decoder stages over an m2 x m1 receiver observation block.
+
+    Each design is built once: the stage-1 design G diag(b_t) Psi only
+    when pattern t differs from pattern t-1, and the stage-2 design
+    A Phi once for all N sources.
 
     Args:
         receiver_obs: m2 x m1 matrix, column t = the observations Z^t.
@@ -314,44 +314,47 @@ def decode_all(
     m1 = obs.shape[1]
     if len(patterns) != m1:
         raise ValueError("need one on-off pattern per time index")
+    patterns = [as_vector(b, "pattern") for b in patterns]
+    if any(G.shape[1] != b.shape[0] or N != b.shape[0] for b in patterns):
+        raise ValueError("pattern length must match G columns and Psi rows")
+    if truth_X is not None:
+        truth_X = as_matrix(truth_X, "truth_X")
+    stage2 = m1 > 0 and run_temporal
+    fallback = stage2 and xi_temporal is None and truth_X is None  # weight from the fit residuals
 
     mu_hat = np.zeros((N, m1))
     y_hat = np.zeros((m1, N))
     spatial_ok = True
     fit_rms = []
-    for t in range(m1):
-        mu, yh, sol = decode_spatial(
-            obs[:, t], G, patterns[t], Psi, xi_spatial, debias=debias
-        )
+    for t, b in enumerate(patterns):
+        if t == 0 or not np.array_equal(b, patterns[t - 1]):
+            GB = G * b[None, :]
+            D = GB @ Psi
+        mu, yh, sol = decode_spatial(obs[:, t], D, Psi, xi_spatial, debias=debias)
         mu_hat[:, t] = mu
         y_hat[t, :] = yh
         spatial_ok = spatial_ok and sol.converged
-        den = max(1, obs.shape[0])
-        fit_rms.append(np.linalg.norm(obs[:, t] - (G * np.asarray(patterns[t])[None, :]) @ yh) / math.sqrt(den))
+        if fallback:
+            fit_rms.append(np.linalg.norm(obs[:, t] - GB @ yh) / math.sqrt(max(1, obs.shape[0])))
 
     theta_hat = np.zeros((N, n))
     x_hat = np.zeros((N, n))
-    residual_rms = None
-    if truth_X is not None:
-        truth_X = as_matrix(truth_X, "truth_X")
-        if proj_truth is None:
-            proj_truth = A @ truth_X.T
-        residual_rms = np.array(
-            [np.linalg.norm(y_hat[:, i] - proj_truth[:, i]) / math.sqrt(max(m1, 1)) for i in range(N)]
-        )
-
     temporal_ok = True
-    if m1 > 0 and run_temporal:
-        for i in range(N):
-            if xi_temporal is None:
-                if residual_rms is not None:
-                    sigma_u = residual_rms[i]
-                else:
-                    sigma_u = float(np.median(fit_rms))  # channel-scale fallback
-                xi_i = default_xi(sigma_u, m1, n, scale=xi_scale)
-            else:
-                xi_i = float(xi_temporal)
-            theta, xh, sol = decode_temporal(y_hat[:, i], A, Phi, xi_i, debias=debias)
+    if stage2:
+        if xi_temporal is not None:
+            xis = [float(xi_temporal)] * N
+        elif truth_X is not None:
+            if proj_truth is None:
+                proj_truth = A @ truth_X.T
+            xis = [
+                default_xi(np.linalg.norm(y_hat[:, i] - proj_truth[:, i]) / math.sqrt(m1), m1, n, scale=xi_scale)
+                for i in range(N)
+            ]
+        else:
+            xis = [default_xi(float(np.median(fit_rms)), m1, n, scale=xi_scale)] * N  # channel-scale fallback
+        D = as_matrix(A, "A") @ Phi
+        for i, xi_i in enumerate(xis):
+            theta, xh, sol = decode_temporal(y_hat[:, i], D, Phi, xi_i, debias=debias)
             theta_hat[i] = theta
             x_hat[i] = xh
             temporal_ok = temporal_ok and sol.converged

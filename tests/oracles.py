@@ -151,3 +151,130 @@ def cascade_loop(G, C1, C2, support, alpha, num_vectors, seed, tol=1e-10):
         "lambda2": lam2,
         "gamma_used": gamma,
     }
+
+
+def homotopy_path(z, G, xi, max_iter=10_000, tol=1e-8):
+    """The LASSO homotopy as first written, one numpy call per formula.
+
+    The same path as the package's solver (Osborne, Presnell & Turlach
+    2000): from the null solution at lam_max, step to the nearest event
+    (a column joins, a coefficient crosses zero) or to xi, then solve
+    once more on the final active set.  Kept as the per-step reference
+    the solver must match bit for bit.  Returns (coef, steps, drops,
+    converged).
+    """
+    q, p = G.shape
+    coef = np.zeros(p)
+    active = np.zeros(0, dtype=int)
+    signs = np.zeros(0)
+    lam = float(np.max(np.abs(G.T @ z))) / q
+    barred = None
+    steps = drops = 0
+    reached = lam <= xi
+    try:
+        while not reached and steps < max_iter:
+            GA = G[:, active]
+            d = q * np.linalg.solve(GA.T @ GA, signs)
+            c, a = (G.T @ np.column_stack([z - GA @ coef[active], GA @ d]) / q).T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                up = np.where(1.0 - a > 1e-10, (lam - c) / (1.0 - a), np.inf)
+                down = np.where(1.0 + a > 1e-10, (lam + c) / (1.0 + a), np.inf)
+                cross = np.where(coef[active] * d < 0, -coef[active] / d, np.inf)
+            join = np.maximum(np.minimum(up, down), 0.0)
+            join[active] = np.inf
+            if barred is not None:
+                join[barred] = np.inf
+            j = int(np.argmin(join))
+            end = lam - xi
+            step = min(end, join[j], cross.min(initial=np.inf))
+            coef[active] += step * d
+            lam -= step
+            steps += 1
+            barred = None
+            if step == end:
+                reached = True
+            elif step == join[j]:
+                active = np.append(active, j)
+                signs = np.append(signs, 1.0 if up[j] <= down[j] else -1.0)
+            else:
+                k = int(np.argmin(cross))
+                barred = active[k]
+                coef[barred] = 0.0
+                active = np.delete(active, k)
+                signs = np.delete(signs, k)
+                drops += 1
+        if reached:
+            GA = G[:, active]
+            coef[active] = np.linalg.solve(GA.T @ GA, GA.T @ z - q * xi * signs)
+    except np.linalg.LinAlgError:
+        reached = False
+    g = G.T @ (G @ coef - z) / q
+    on = coef != 0
+    kkt = max(float(np.max(np.abs(g[on] + xi * np.sign(coef[on])), initial=0.0)),
+              float(np.max(np.maximum(np.abs(g[~on]) - xi, 0.0), initial=0.0)))
+    return coef, steps, drops, reached and kkt <= 10.0 * tol
+
+
+def refit(z, D, coef):
+    """Least squares on coef's nonzero columns; refit values below 1e-12 of the peak are cleared."""
+    out = np.zeros_like(coef)
+    S = np.flatnonzero(coef)
+    if S.size:
+        sol, *_ = np.linalg.lstsq(D[:, S], z, rcond=None)
+        sol[np.abs(sol) < 1e-12 * np.max(np.abs(sol), initial=0.0)] = 0.0
+        out[S] = sol
+    return out
+
+
+def decode_loop(receiver_obs, G, patterns, Psi, Phi, A, xi_spatial, xi_temporal=None, truth_X=None,
+                proj_truth=None, debias=True, xi_scale=2.0, run_temporal=True):
+    """Both decode stages one problem at a time, each building its own design.
+
+    Stage 1 solves column t of receiver_obs on G diag(b_t) Psi; stage 2 solves
+    row i of y_hat on A Phi with the shared xi_temporal, or else a
+    per-source weight from the truth residual rms(y_hat_i - A X_i) when
+    truth_X is given, or else from the median stage-1 fit residual.
+    Returns (mu_hat, y_hat, theta_hat, x_hat, distortion or None,
+    spatial_ok, temporal_ok).
+    """
+    def weight(sigma, q, p):
+        return max(xi_scale * sigma * math.sqrt(2.0 * math.log(p) / q), 1e-12)
+
+    obs = receiver_obs
+    N, n, m1 = Psi.shape[0], Phi.shape[0], obs.shape[1]
+    mu_hat, y_hat = np.zeros((N, m1)), np.zeros((m1, N))
+    spatial_ok, fit_rms = True, []
+    for t in range(m1):
+        b = np.asarray(patterns[t], dtype=float)
+        D = (G * b[None, :]) @ Psi
+        mu, _, _, ok = homotopy_path(obs[:, t], D, xi_spatial)
+        if debias:
+            mu = refit(obs[:, t], D, mu)
+        mu_hat[:, t], y_hat[t] = mu, Psi @ mu
+        spatial_ok = spatial_ok and ok
+        fit_rms.append(np.linalg.norm(obs[:, t] - (G * b[None, :]) @ y_hat[t]) / math.sqrt(max(1, obs.shape[0])))
+    theta_hat, x_hat = np.zeros((N, n)), np.zeros((N, n))
+    residual_rms = None
+    if truth_X is not None:
+        if proj_truth is None:
+            proj_truth = A @ truth_X.T
+        residual_rms = np.array(
+            [np.linalg.norm(y_hat[:, i] - proj_truth[:, i]) / math.sqrt(max(m1, 1)) for i in range(N)]
+        )
+    temporal_ok = True
+    if m1 > 0 and run_temporal:
+        for i in range(N):
+            if xi_temporal is not None:
+                xi_i = float(xi_temporal)
+            elif residual_rms is not None:
+                xi_i = weight(residual_rms[i], m1, n)
+            else:
+                xi_i = weight(float(np.median(fit_rms)), m1, n)
+            D = A @ Phi
+            theta, _, _, ok = homotopy_path(y_hat[:, i], D, xi_i)
+            if debias:
+                theta = refit(y_hat[:, i], D, theta)
+            theta_hat[i], x_hat[i] = theta, Phi @ theta
+            temporal_ok = temporal_ok and ok
+    distortion = None if truth_X is None else np.sum((truth_X - x_hat) ** 2, axis=1) / n
+    return mu_hat, y_hat, theta_hat, x_hat, distortion, spatial_ok, temporal_ok

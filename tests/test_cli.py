@@ -205,7 +205,11 @@ class TestAnalysisVerbs:
     ], ids=["no-supports", "negative-vectors", "no-triples", "no-vectors"])
     def test_vacuous_battery_is_usage_error(self, cfg_path, capsys, argv):
         assert cli.main(argv[:1] + ["--config", cfg_path] + argv[1:]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        floor = 0 if argv == ["re-estimate", "--vectors", "-3"] else 1
+        assert f"invalid argument {argv[1]}: must be >= {floor}" in err
+        assert "invalid configuration" not in err
 
     def test_re_estimate(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "re.csv")

@@ -171,6 +171,39 @@ class TestConvergenceFlag:
         assert run_trial(small_cfg(), 0).converged is False
 
 
+class TestDesignsBuiltOnce:
+    """decode_all builds each of a receiver's designs once, so the solves that share one share the object."""
+
+    def solve_designs(self, monkeypatch, cfg):
+        """The design of every solve of trial 0, as (stage-1, stage-2) lists per receiver."""
+        designs = []
+        solve = csnc.lasso.solve_lasso
+
+        def spy(prob, *args, **kwargs):
+            designs.append(prob.G)
+            return solve(prob, *args, **kwargs)
+
+        monkeypatch.setattr(csnc.lasso, "solve_lasso", spy)
+        run_trial(cfg, 0)
+        per = cfg.m1 + cfg.profile.N
+        assert len(designs) == cfg.receivers * per
+        return [(designs[r * per:r * per + cfg.m1], designs[r * per + cfg.m1:(r + 1) * per])
+                for r in range(cfg.receivers)]
+
+    def test_stage2_solves_share_one_design(self, monkeypatch):
+        receivers = self.solve_designs(monkeypatch, small_cfg(case="case1-sparseB", receivers=2))
+        for _, stage2 in receivers:
+            assert all(D is stage2[0] for D in stage2)
+        assert receivers[0][1][0] is not receivers[1][1][0]
+
+    def test_all_on_stage1_solves_share_one_design(self, monkeypatch):
+        cfg = small_cfg()
+        assert cfg.case == "case2-denseB" and cfg.redraw_b_per_t  # all-on, each pattern its own array
+        [(stage1, stage2)] = self.solve_designs(monkeypatch, cfg)
+        assert all(D is stage1[0] for D in stage1)
+        assert stage1[0] is not stage2[0]
+
+
 class TestCertifiedSolves:
     """Trials whose stage-1 solves coordinate descent left uncertified at its 10 000-sweep cap."""
 

@@ -16,8 +16,11 @@ from csnc.lasso import (
     solve_lasso,
 )
 from csnc.mathcore import Seed
-from csnc.sources import make_dictionary
+from csnc.netsim import ChannelModel, direct_transfer_matrix, transmit
+from csnc.precoder import OnOffPattern, draw_onoff, make_projection, temporal_project
+from csnc.sources import SparsityProfile, generate_ensemble, make_dictionary, make_dictionary_pair
 
+import oracles
 from oracles import lasso_objective, orthonormal_design, projected_subgradient_lasso
 
 
@@ -217,7 +220,7 @@ class TestDecodeSpatial:
             y = mu.copy()  # identity dictionary
             z = G @ y
             xi = max(1e-4 * np.max(np.abs(G.T @ z)) / q, 1e-12)
-            mu_hat, y_hat, _ = decode_spatial(z, G, np.ones(N), np.eye(N), xi)
+            mu_hat, y_hat, _ = decode_spatial(z, G, np.eye(N), xi)
             if np.array_equal(np.flatnonzero(mu_hat), sup) and (
                 np.linalg.norm(y_hat - y) / np.linalg.norm(y) < 1e-3
             ):
@@ -231,7 +234,7 @@ class TestDecodeSpatial:
         G = rng.normal(size=(m2, N))
         Z = rng.normal(size=m2)
         xi = 0.3
-        mu, _, sol = decode_spatial(Z, G, np.ones(N), np.eye(N), xi, debias=False)
+        mu, _, sol = decode_spatial(Z, G, np.eye(N), xi, debias=False)
         assert np.sum(np.abs(mu)) <= float(Z @ Z) / (2 * m2 * xi) + 1e-9
 
     def test_case2_design_equals_g_psi(self):
@@ -242,14 +245,12 @@ class TestDecodeSpatial:
         mu = np.zeros(N)
         mu[[2, 7]] = [3.0, -2.0]
         Z = G @ (Psi @ mu)
-        got, _, _ = decode_spatial(Z, G, np.ones(N), Psi, 1e-6)
+        # decode_all builds the stage-1 design of an all-on pattern as G Psi
+        got = decode_all(Z[:, None], G, [np.ones(N)], Psi, np.eye(4), np.eye(4), 1e-6, run_temporal=False)
         direct = solve_lasso(LassoProblem(Z, G @ Psi, 1e-6)).coef
         refit = debias_refit(Z, G @ Psi, direct)
-        assert np.allclose(got, refit, atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            decode_spatial(np.zeros(3), np.zeros((3, 4)), np.ones(5), np.eye(4), 0.1)
+        assert np.allclose(got.mu_hat[:, 0], refit, atol=1e-10)
+        assert np.allclose(got.y_hat[0], Psi @ refit, atol=1e-10)
 
 
 class TestDecodeTemporal:
@@ -267,7 +268,7 @@ class TestDecodeTemporal:
             x = Phi @ theta
             y = A @ x
             xi = max(1e-4 * np.max(np.abs((A @ Phi).T @ y)) / m1, 1e-12)
-            theta_hat, x_hat, _ = decode_temporal(y, A, Phi, xi)
+            theta_hat, x_hat, _ = decode_temporal(y, A @ Phi, Phi, xi)
             if np.array_equal(np.flatnonzero(theta_hat), sup) and (
                 np.linalg.norm(x_hat - x) / np.linalg.norm(x) < 1e-3
             ):
@@ -281,22 +282,18 @@ class TestDecodeTemporal:
         A = orthonormal_design(n, rng)
         y = rng.normal(size=n) * 2
         xi = 0.15
-        theta, _, _ = decode_temporal(y, A, np.eye(n), xi, debias=False)
+        theta, _, _ = decode_temporal(y, A, np.eye(n), xi, debias=False)  # design A I = A
         b = A.T @ y / n
         assert np.allclose(theta, np.sign(b) * np.maximum(np.abs(b) - xi, 0), atol=1e-8)
 
     def test_zero_input_row(self):
         A = Seed(5).rng().normal(size=(8, 12))
-        theta, x_hat, _ = decode_temporal(np.zeros(8), A, np.eye(12), 0.1)
+        theta, x_hat, _ = decode_temporal(np.zeros(8), A, np.eye(12), 0.1)  # design A I = A
         assert np.all(theta == 0.0) and np.all(x_hat == 0.0)
 
 
 class TestDecodeAll:
     def _small_setup(self, seed=0, sigma=0.0, N=24, n=12, k1=2, k2=2, m1=12, m2=22):
-        from csnc.sources import SparsityProfile, generate_ensemble, make_dictionary_pair
-        from csnc.precoder import make_projection, temporal_project, draw_onoff
-        from csnc.netsim import direct_transfer_matrix, transmit, ChannelModel
-
         s = Seed(300, seed)
         dicts = make_dictionary_pair("random-orthonormal", "random-orthonormal", n, N, s.child(1))
         ens = generate_ensemble(SparsityProfile(N, n, k1, k2), dicts, (1.0, 2.0), s.child(2))
@@ -345,8 +342,112 @@ class TestDecodeAll:
         assert res.mu_hat.shape[1] == 0 and res.y_hat.shape[0] == 0
         assert np.all(res.x_hat == 0.0)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="pattern length"):
+            decode_all(np.zeros((3, 1)), np.zeros((3, 4)), [np.ones(5)], np.eye(4), np.eye(2), np.eye(2), 0.1)
+
     def test_distortion_zero_when_reconstruction_exact(self):
         ens, dicts, op, Y, tm, pats, obs = self._small_setup()
         n = ens.X.shape[1]
         d = np.sum((ens.X - ens.X) ** 2, axis=1) / n
         assert np.all(d == 0.0)
+
+
+def path_instance(seed, q, p, mix, duplicate, frac):
+    """Instance whose columns share mix times column 0, which makes paths drop columns."""
+    rng = Seed(seed).rng()
+    G = rng.normal(size=(q, p))
+    G = G + mix * G[:, :1]
+    if duplicate:
+        G[:, p - 1] = G[:, 0]
+    z = rng.normal(size=q)
+    return z, G, frac * np.max(np.abs(G.T @ z)) / q
+
+
+@st.composite
+def path_instances(draw):
+    return path_instance(
+        draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 24)), draw(st.integers(2, 40)),
+        draw(st.sampled_from([0.0, 0.5, 0.9])), draw(st.booleans()), draw(st.floats(1e-3, 1.2)),
+    )
+
+
+PATTERN_KINDS = ["all-on", "redrawn", "case1-sparseB", "shared", "runs"]
+
+
+@st.composite
+def decode_inputs(draw):
+    """One receiver's observation block under each kind of on-off pattern sequence.
+
+    all-on: every pattern all ones (case 2), each its own array; redrawn:
+    Bernoulli(1/2) per time index; case1-sparseB: Bernoulli(m2/N) per
+    time index; shared: one Bernoulli(m2/N) pattern object reused at every
+    time index; runs: equal copies of two patterns in random runs.
+    """
+    s = Seed(draw(st.integers(0, 2**32 - 1)))
+    N, n = draw(st.integers(3, 14)), draw(st.integers(3, 12))
+    m1, m2 = draw(st.integers(1, n)), draw(st.integers(2, N))
+    kind, sigma = draw(st.sampled_from(PATTERN_KINDS)), draw(st.sampled_from([0.0, 0.05]))
+    dicts = make_dictionary_pair("random-orthonormal", "random-orthonormal", n, N, s.child(1))
+    ens = generate_ensemble(SparsityProfile(N, n, draw(st.integers(0, n)), draw(st.integers(0, N))),
+                            dicts, (1.0, 2.0), s.child(2))
+    op = make_projection(m1, n, "gaussian", s.child(3))
+    Y = temporal_project(ens, op)
+    tm = direct_transfer_matrix(m2, N, s.child(4))
+    if kind == "shared":
+        pats = [draw_onoff(N, m2 / N, s.child(5, 0))] * m1
+    elif kind == "runs":
+        two = [draw_onoff(N, 0.5, s.child(5, r)).diag for r in range(2)]
+        runs = draw(st.lists(st.integers(0, 1), min_size=m1, max_size=m1))
+        pats = [OnOffPattern(two[r].copy(), 0.5) for r in runs]
+    else:
+        prob = {"all-on": 1.0, "redrawn": 0.5, "case1-sparseB": m2 / N}[kind]
+        pats = [draw_onoff(N, prob, s.child(5, t)) for t in range(m1)]
+    obs = np.column_stack([transmit(tm, pats[t], Y[t], ChannelModel(sigma), s.child(6, t)) for t in range(m1)])
+    truth = draw(st.sampled_from(["none", "truth", "truth+projection"]))
+    return dict(
+        receiver_obs=obs, G=tm.G, patterns=[p.diag for p in pats], Psi=dicts.Psi, Phi=dicts.Phi, A=op.A,
+        xi_spatial=default_xi(0.05, m2, N),
+        xi_temporal=draw(st.sampled_from([None, 0.02])),
+        truth_X=None if truth == "none" else ens.X,
+        proj_truth=Y if truth == "truth+projection" else None,
+        debias=draw(st.booleans()),
+        run_temporal=draw(st.booleans()),
+    )
+
+
+def same_bits(a, b):
+    return (a is None and b is None) or (a is not None and b is not None and a.dtype == b.dtype
+                                         and a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+class TestMatchesPerProblemLoop:
+    """solve_lasso and decode_all against oracles' per-step and per-problem references, bit for bit."""
+
+    @given(inst=path_instances(), max_iter=st.sampled_from([1, 2, 5, 10_000]))
+    def test_solve_lasso_steps_and_coefficients(self, inst, max_iter):
+        z, G, xi = inst
+        sol = solve_lasso(LassoProblem(z, G, xi), max_iter=max_iter)
+        coef, steps, _, converged = oracles.homotopy_path(z, G, xi, max_iter=max_iter)
+        assert (sol.iterations, sol.converged) == (steps, converged)
+        assert same_bits(sol.coef, coef)
+
+    def test_instances_drop_columns(self):
+        # the battery's instance family does exercise drop steps and a duplicated column
+        drops = dup_steps = 0
+        for seed in range(60):
+            z, G, xi = path_instance(seed, 12, 30, 0.9, seed % 2 == 0, 0.01)
+            sol = solve_lasso(LassoProblem(z, G, xi))
+            coef, steps, dropped, converged = oracles.homotopy_path(z, G, xi)
+            assert (sol.iterations, sol.converged) == (steps, converged) and same_bits(sol.coef, coef)
+            drops += dropped
+            dup_steps += steps if seed % 2 == 0 else 0
+        assert drops > 0 and dup_steps > 0
+
+    @given(inputs=decode_inputs())
+    def test_decode_all(self, inputs):
+        res = decode_all(**inputs)
+        ref = oracles.decode_loop(**inputs)
+        got = (res.mu_hat, res.y_hat, res.theta_hat, res.x_hat, res.per_source_distortion)
+        assert all(same_bits(a, b) for a, b in zip(got, ref[:5]))
+        assert (res.spatial_converged, res.temporal_converged) == ref[5:]

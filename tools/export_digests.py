@@ -1,0 +1,96 @@
+"""Print sha256 digests of csnc's pinned outputs, computed by a given checkout.
+
+Run: python3 tools/export_digests.py <checkout> > digests.txt
+
+The package is imported from <checkout>/src, so running this once on
+each of two checkouts and diffing the two outputs shows whether a
+change kept these outputs byte-identical:
+
+- the export_results CSV of trials 0-3 of each of the eight export
+  configs below, and of trials 0-15 of the acceptance config;
+- the export_results CSV of the ten trial records of the m2=50 cell of
+  the criterion-4 m2 sweep (N=512, stage 1 only);
+- the calibration of the small config (N=n=32, m=8, 20 pilot trials):
+  c and the plan in full precision, and a digest of its evaluation table.
+
+Each line is "<name> <value>".  Expect about half a minute on one core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from dataclasses import replace
+
+
+def export_digest(harness, records) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "export.csv")
+        harness.export_results(records, path)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", help="root of a csnc checkout (the directory holding src/csnc)")
+    args = parser.parse_args(argv)
+    src = os.path.join(os.path.abspath(args.checkout), "src")
+    if not os.path.isfile(os.path.join(src, "csnc", "__init__.py")):
+        print(f"export_digests: no csnc package under {src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, src)
+    import csnc
+    from csnc import harness
+    from csnc.mathcore import Seed
+    from csnc.sources import SparsityProfile
+
+    if os.path.dirname(os.path.abspath(csnc.__file__)) != os.path.join(src, "csnc"):
+        print(f"export_digests: imported csnc from {csnc.__file__}, not from {src}", file=sys.stderr)
+        return 2
+
+    Config = harness.ExperimentConfig
+    acceptance = Config(SparsityProfile(128, 128, 4, 4), m=32, m1=32, m2=32, sigma=0.1, D=0.0025,
+                        master_seed=Seed(20260808))
+    small = Config(SparsityProfile(32, 24, 2, 2), m=24, m1=14, m2=20, sigma=0.05, D=0.01,
+                   master_seed=Seed(42))
+    configs = {
+        "small": small,
+        "small-example1": replace(small, network_mode="example1"),
+        "small-case1": replace(small, case="case1-sparseB"),
+        "small-receivers2": replace(small, receivers=2),
+        "small-shared-pattern": replace(small, redraw_b_per_t=False),
+        "small-dct-stage1": replace(small, kind_phi="discrete-cosine", kind_psi="discrete-cosine",
+                                    stage2=False, debias=False),
+        "identity-lossless": Config(SparsityProfile(16, 12, 3, 2), m=4, m1=12, m2=16, sigma=0.0, D=1e-6,
+                                    master_seed=Seed(5), network_mode="identity",
+                                    projection_family="identity", kind_phi="identity", kind_psi="identity"),
+    }
+
+    records = harness.run_trials(acceptance, range(16))
+    print(f"export acceptance trials 0-3 {export_digest(harness, records[:4])}")
+    for name, cfg in configs.items():
+        print(f"export {name} trials 0-3 {export_digest(harness, harness.run_trials(cfg, range(4)))}")
+    print(f"export acceptance trials 0-15 {export_digest(harness, records)}")
+
+    # the criterion-4 m2 sweep's cell m2=50, as harness.sweep runs it
+    m2_cfg = Config(SparsityProfile(512, 16, 2, 2), m=32, m1=4, m2=50, sigma=0.1, D=0.01, trials=10,
+                    master_seed=Seed(20260808).child(4, 2), debias=False, stage2=False,
+                    kind_phi="discrete-cosine", kind_psi="discrete-cosine")
+    print(f"sweep m2=50 trials 0-9 {export_digest(harness, harness.run_trials(m2_cfg, range(10)))}")
+
+    cal_cfg = Config(SparsityProfile(32, 32, 2, 2), m=8, m1=8, m2=8, sigma=0.1, D=0.0025,
+                     master_seed=Seed(20260808))
+    cal = harness.calibrate_c(cal_cfg, pilot_trials=20, target=0.9)
+    table = "\n".join(repr(tuple(e)) for e in cal.evaluations).encode()
+    print(f"calibrate-small c {cal.c!r}")
+    print(f"calibrate-small plan {cal.plan.m1},{cal.plan.m2} c_use {cal.plan.c_use!r}")
+    print(f"calibrate-small evaluations {len(cal.evaluations)} {hashlib.sha256(table).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
