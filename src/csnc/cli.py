@@ -8,10 +8,10 @@ yes/no, on/off or 1/0, and an empty value is rejected except for
 xi_spatial and xi_temporal, where it means unset.  The per-trial verbs
 (generate, project, decode, re-estimate) act on trial 0 of the
 configured seed, the same trial `trial --index 0` runs.  Exit codes:
-0 success, 1 assertion or calibration failure, 2 usage error (a count
-flag below its least value, reported as "invalid argument --<flag>", or
-a malformed config file, reported as "invalid configuration"), 3 I/O
-error.
+0 success, 1 assertion or calibration failure, 2 usage error (a flag
+value out of range or malformed, reported as "invalid argument
+--<flag>", or a malformed config file, reported as "invalid
+configuration"), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -36,11 +36,24 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# count flags per verb and their least values; a flag below its floor is a usage error named by the flag
+# integer flags per verb and their least values; a flag below its floor is a usage error named by the flag
 _COUNT_FLAGS = {
-    "re-estimate": (("supports", 1), ("vectors", 0)),
+    "re-estimate": (("sparsity", 1), ("supports", 1), ("vectors", 0)),
     "cascade-check": (("triples", 1), ("vectors", 1)),
+    "trial": (("index", 0),),
+    "calibrate": (("pilot_trials", 20),),  # calibrate_c's least pilot batch
 }
+
+
+def _parse_values(text: str) -> list[float]:
+    """--values as a nonempty ascending list of floats; ValueError names the fault."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"not a comma-separated list of numbers: {text!r}") from None
+    if sorted(values) != values:
+        raise ValueError("values must be sorted ascending")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +182,7 @@ def dispatch(args) -> int:
 
     if verb == "re-estimate":
         G = harness.build_trial(cfg, 0).transfers[0].G
-        k = args.sparsity or p.k2
+        k = p.k2 if args.sparsity is None else args.sparsity
         est = re_analysis.estimate_re(G, k, args.alpha, args.supports, args.vectors, seed.child(9))
         if out:
             re_analysis.save_re_report(est, out)
@@ -200,8 +213,7 @@ def dispatch(args) -> int:
         return EXIT_OK if total_left == 0 and total_right == 0 else EXIT_FAIL
 
     if verb == "sweep":
-        values = [float(v) for v in args.values.split(",")]
-        result = harness.sweep(cfg, args.axis, values, workers=args.threads)
+        result = harness.sweep(cfg, args.axis, args.values, workers=args.threads)
         path = out or f"sweep_{args.axis}.csv"
         harness.export_sweep(result, path)
         slope = "n/a" if result.slope is None else f"{result.slope:.4f}"
@@ -230,13 +242,23 @@ def dispatch(args) -> int:
     raise AssertionError(f"unhandled verb {verb}")  # parser prevents this
 
 
+def _flag_fault(flag: str, why: str) -> int:
+    print(f"invalid argument --{flag.replace('_', '-')}: {why}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for flag, floor in _COUNT_FLAGS.get(args.verb, ()):
-        if getattr(args, flag) < floor:
-            print(f"invalid argument --{flag}: must be >= {floor}", file=sys.stderr)
-            return EXIT_USAGE
+        value = getattr(args, flag)
+        if value is not None and value < floor:
+            return _flag_fault(flag, f"must be >= {floor}")
+    if args.verb == "sweep":
+        try:
+            args.values = _parse_values(args.values)
+        except ValueError as exc:
+            return _flag_fault("values", str(exc))
     try:
         return dispatch(args)
     except harness.CalibrationError as exc:

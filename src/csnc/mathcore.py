@@ -18,6 +18,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_ZERO4 = (0, 0, 0, 0)
 
 
 def _splitmix64(x: int) -> int:
@@ -56,6 +57,25 @@ class Seed:
     def rng(self) -> np.random.Generator:
         key = np.array([self.master, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+    def reseat(self, rng: np.random.Generator) -> np.random.Generator:
+        """Re-key rng's Philox bit generator to the start of this seed's stream; return rng.
+
+        Philox's whole state is its key and counter, so after a reseat
+        every draw equals what self.rng() would give: the counter is
+        zeroed and the output buffer and the half-used 32-bit word are
+        emptied, as a fresh construction leaves them.  A new generator
+        costs about ten times as much to build, mostly OS entropy for a
+        SeedSequence that the key then overrides.  The reseat
+        discards rng's previous stream, so reuse a generator only for
+        draws made strictly one stream after another.
+        """
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO4, "key": (self.master, self.stream)},
+            "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return rng
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:

@@ -86,6 +86,12 @@ def sample_cone_vectors(spec: ConeSpec, seeds, slack: float | None = None) -> np
     its l1 norm equals slack * alpha * ||y_S||_1; slack = 0 puts the
     vector exactly on the support.  A row does not depend on the other
     seeds, so it equals sample_cone_vector(spec, seeds[i], slack).
+
+    One generator serves the whole call: it is built for the first seed
+    and reseated (Seed.reseat) for each later one, which starts exactly
+    the stream seed.rng() would.  That is safe because each row's draws
+    finish before the next row's reseat, and the generator never leaves
+    this function.
     """
     if slack is not None and not (0.0 <= slack <= 1.0):
         raise ValueError("slack must lie in [0, 1]")
@@ -93,8 +99,9 @@ def sample_cone_vectors(spec: ConeSpec, seeds, slack: float | None = None) -> np
     comp = spec.complement
     draws = np.empty((len(seeds), len(S) + comp.size))
     slacks = np.full(len(seeds), 0.0 if slack is None else float(slack))
+    rng = None
     for i, seed in enumerate(seeds):
-        rng = seed.rng()
+        rng = seed.rng() if rng is None else seed.reseat(rng)
         rng.standard_normal(out=draws[i])
         if comp.size and slack is None:
             slacks[i] = rng.random()

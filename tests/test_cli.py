@@ -211,6 +211,20 @@ class TestAnalysisVerbs:
         assert f"invalid argument {argv[1]}: must be >= {floor}" in err
         assert "invalid configuration" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--axis", "m2", "--values", "8,x"], "--values: not a comma-separated list of numbers: '8,x'"),
+        (["sweep", "--axis", "m2", "--values", "12,8"], "--values: values must be sorted ascending"),
+        (["calibrate", "--pilot-trials", "0"], "--pilot-trials: must be >= 20"),
+        (["re-estimate", "--sparsity", "0"], "--sparsity: must be >= 1"),
+        (["trial", "--index", "-1"], "--index: must be >= 0"),
+    ], ids=["values-not-numbers", "values-descending", "few-pilot-trials", "no-sparsity", "negative-index"])
+    def test_flag_fault_is_named(self, cfg_path, capsys, argv, message):
+        assert cli.main(argv[:1] + ["--config", cfg_path] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert f"invalid argument {message}" in captured.err
+        assert "Traceback" not in captured.err and "invalid configuration" not in captured.err
+        assert captured.out == ""
+
     def test_re_estimate(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "re.csv")
         rc = cli.main(["re-estimate", "--config", cfg_path, "--supports", "10",

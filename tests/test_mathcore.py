@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from csnc.mathcore import (
     Seed,
@@ -33,6 +34,44 @@ class TestSeed:
             Seed(-1)
         with pytest.raises(ValueError):
             Seed(0, 1 << 64)
+
+
+def _draw(rng, op):
+    kind, n = op
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "int32":  # an odd count leaves half a 64-bit word buffered
+        return rng.integers(-1000, 1000, size=n, dtype=np.int32)
+    return rng.choice(60, size=n, replace=False)
+
+
+_WORD = st.integers(0, (1 << 64) - 1)
+_DRAWS = st.lists(st.tuples(st.sampled_from(["normal", "uniform", "int32", "choice"]), st.integers(1, 9)),
+                  max_size=6)
+# ends every sequence on both a 32-bit and a 64-bit draw, so stale buffered words show
+_TAIL = [("int32", 3), ("normal", 5)]
+
+
+class TestReseat:
+    """A reseated generator draws exactly what a new one for the same seed draws."""
+
+    @given(old=_WORD, master=_WORD, stream=_WORD, before=_DRAWS, after=_DRAWS)
+    @example(old=1, master=2, stream=3, before=[("int32", 3), ("normal", 1)], after=[])
+    def test_matches_new_generator_bit_for_bit(self, old, master, stream, before, after):
+        rng = Seed(old).rng()
+        for op in before:
+            _draw(rng, op)
+        seed = Seed(master, stream)
+        assert seed.reseat(rng) is rng
+        fresh = seed.rng()
+        for op in after + _TAIL:
+            assert np.array_equal(_draw(rng, op), _draw(fresh, op))
+
+    def test_rejects_other_bit_generators(self):
+        with pytest.raises(ValueError):
+            Seed(1).reseat(np.random.Generator(np.random.PCG64(0)))
 
 
 class TestGaussianMatrix:

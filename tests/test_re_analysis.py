@@ -284,18 +284,24 @@ class TestMatchesPerVectorLoop:
 
 
 class TestStreamLayout:
-    """One generator per cone vector, keyed exactly as documented."""
+    """One stream per cone vector, keyed exactly as documented."""
 
     @pytest.fixture
     def rng_keys(self, monkeypatch):
+        """Every seed whose stream is started, by a new generator or by a reseat."""
         keys = []
-        real = Seed.rng
+        real_rng, real_reseat = Seed.rng, Seed.reseat
 
-        def counting(self):
+        def counting_rng(self):
             keys.append(self)
-            return real(self)
+            return real_rng(self)
 
-        monkeypatch.setattr(Seed, "rng", counting)
+        def counting_reseat(self, rng):
+            keys.append(self)
+            return real_reseat(self, rng)
+
+        monkeypatch.setattr(Seed, "rng", counting_rng)
+        monkeypatch.setattr(Seed, "reseat", counting_reseat)
         return keys
 
     def test_estimate_re_sampled_supports(self, rng_keys):
@@ -319,6 +325,21 @@ class TestStreamLayout:
         s = Seed(35)
         cascade_check(G, np.eye(6), np.eye(10), ConeSpec(10, (1, 4), 1.0), 17, s)
         assert rng_keys == [s.child(i) for i in range(17)]
+
+    def test_one_bit_generator_per_call(self, monkeypatch):
+        built = []
+        real = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args or kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        spec = ConeSpec(10, (1, 4), 1.0)
+        sample_cone_vectors(spec, [Seed(37).child(i) for i in range(17)])
+        assert len(built) == 1
+        sample_cone_vectors(spec, [])
+        assert len(built) == 1
 
 
 class TestErrorBound:

@@ -11,7 +11,11 @@ change kept these outputs byte-identical:
 - the export_results CSV of the ten trial records of the m2=50 cell of
   the criterion-4 m2 sweep (N=512, stage 1 only);
 - the calibration of the small config (N=n=32, m=8, 20 pilot trials):
-  c and the plan in full precision, and a digest of its evaluation table.
+  c and the plan in full precision, and a digest of its evaluation table;
+- at master seeds 20260808 and 12345, the analysis battery as perfbench's
+  analysis-battery workload runs it: the 200 criterion-5 cascade reports,
+  the 100 criterion-7 topologies (edges, G, G1, G2), the 10 RE estimates,
+  and a block of 600 sample_cone_vectors rows.
 
 Each line is "<name> <value>".  Expect about half a minute on one core.
 """
@@ -19,11 +23,15 @@ Each line is "<name> <value>".  Expect about half a minute on one core.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import math
 import os
 import sys
 import tempfile
 from dataclasses import replace
+
+import numpy as np
 
 
 def export_digest(harness, records) -> str:
@@ -32,6 +40,48 @@ def export_digest(harness, records) -> str:
         harness.export_results(records, path)
         with open(path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
+
+
+def sha(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def analysis_digests(csnc, master):
+    """Digests of the analysis battery under one master seed, keyed by name."""
+    re_analysis, netsim = csnc.re_analysis, csnc.netsim
+    q, p, k = 30, 60, 4
+    cascades = []
+    for i in range(200):  # criterion-5 triples: q=30, p=60, k=4, 100 cone vectors
+        s = master.child(5, i)
+        G = s.child(0).rng().normal(size=(q, p))
+        C1 = np.eye(q) + 0.2 * s.child(1).rng().normal(size=(q, q)) / math.sqrt(q)
+        C2 = np.eye(p) + 0.05 * s.child(2).rng().normal(size=(p, p)) / math.sqrt(p)
+        support = tuple(np.sort(s.child(3).rng().choice(p, k, replace=False)))
+        rep = re_analysis.cascade_check(G, C1, C2, re_analysis.ConeSpec(p, support, 1.0), 100, s.child(4))
+        cascades.append(dataclasses.astuple(rep))
+    topologies = []
+    for i in range(100):  # criterion-7 topologies: N=200, m=m2=40, connect_prob 1/3, Rademacher
+        topo = netsim.build_example_topology(200, 40, 1.0 / 3.0, master.child(7, i, 0))
+        tm = netsim.derive_transfer_matrix(topo, 40, "rademacher", master.child(7, i, 1))
+        G1, G2 = tm.decomposition
+        topologies += [topo.edges, tm.G.tobytes(), G1.tobytes(), G2.tobytes()]
+    estimates = []
+    for i in range(10):  # direct 32 x 128 Gaussian designs, sparsity 4, 50 supports x 50 vectors
+        tm = netsim.direct_transfer_matrix(32, 128, master.child(11, i, 0))
+        est = re_analysis.estimate_re(tm.G, 4, 1.0, 50, 50, master.child(11, i, 1))
+        estimates += [est.gamma_hat, est.samples_used, est.argmin_vector.tobytes(), est.argmin_support,
+                      est.per_support_gamma]
+    spec = re_analysis.ConeSpec(60, (3, 17, 31, 52), 1.5)
+    rows = re_analysis.sample_cone_vectors(spec, [master.child(13, i) for i in range(600)])
+    return {
+        "cascade 200 triples": sha(cascades),
+        "topology 100 designs": sha(topologies),
+        "re-estimate 10 designs": sha(estimates),
+        "cone-vectors 600 rows": sha([rows.tobytes()]),
+    }
 
 
 def main(argv=None) -> int:
@@ -62,7 +112,7 @@ def main(argv=None) -> int:
         "small-example1": replace(small, network_mode="example1"),
         "small-case1": replace(small, case="case1-sparseB"),
         "small-receivers2": replace(small, receivers=2),
-        "small-shared-pattern": replace(small, redraw_b_per_t=False),
+        "small-case1-shared-pattern": replace(small, case="case1-sparseB", redraw_b_per_t=False),
         "small-dct-stage1": replace(small, kind_phi="discrete-cosine", kind_psi="discrete-cosine",
                                     stage2=False, debias=False),
         "identity-lossless": Config(SparsityProfile(16, 12, 3, 2), m=4, m1=12, m2=16, sigma=0.0, D=1e-6,
@@ -89,6 +139,10 @@ def main(argv=None) -> int:
     print(f"calibrate-small c {cal.c!r}")
     print(f"calibrate-small plan {cal.plan.m1},{cal.plan.m2} c_use {cal.plan.c_use!r}")
     print(f"calibrate-small evaluations {len(cal.evaluations)} {hashlib.sha256(table).hexdigest()}")
+
+    for master in (20260808, 12345):
+        for name, value in analysis_digests(csnc, Seed(master)).items():
+            print(f"analysis seed {master} {name} {value}")
     return 0
 
 
