@@ -11,7 +11,10 @@ configured seed, the same trial `trial --index 0` runs.  Exit codes:
 0 success, 1 assertion or calibration failure, 2 usage error (a flag
 value out of range or malformed, reported as "invalid argument
 --<flag>", or a malformed config file, reported as "invalid
-configuration"), 3 I/O error.
+configuration"), 3 I/O error.  With -v, the trial and simulate
+verbs log each trial record's index, time, convergence and max
+distortion, and calibrate its evaluation table, to stderr; stdout and
+every written file are the same with or without it.
 """
 
 from __future__ import annotations
@@ -56,6 +59,22 @@ def _parse_values(text: str) -> list[float]:
     return values
 
 
+def _log_records(log, records) -> None:
+    if log is None:
+        return
+    for r in records:
+        log.info("trial %d: timing_ms=%.1f converged=%s max_distortion=%.6g",
+                 r.trial_index, r.timing_ms, r.converged, r.max_distortion)
+
+
+def _log_evaluations(log, evaluations) -> None:
+    if log is None:
+        return
+    rows = [f"{'c':>12} {'m1':>5} {'m2':>5} {'success':>8}"]
+    rows += [f"{c:12.6g} {m1:5d} {m2:5d} {frac:8.3f}" for c, m1, m2, frac in evaluations]
+    log.info("calibration evaluations:\n%s", "\n".join(rows))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csnc",
@@ -69,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output file path")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help="worker process cap for trial batches")
-        p.add_argument("-v", "--verbose", action="store_true")
+        p.add_argument("-v", "--verbose", action="store_true",
+                       help="log trial records or the calibration table to stderr")
 
     common(sub.add_parser("generate", help="export trial 0's source ensemble"))
     common(sub.add_parser("project", help="export trial 0's temporally projected samples Y"))
@@ -113,7 +133,8 @@ def _load(args) -> harness.ExperimentConfig:
     return harness.load_config(args.config, default_seed=Seed(int(env)) if env else None)
 
 
-def dispatch(args) -> int:
+def dispatch(args, log=None) -> int:
+    """Run the parsed verb; log, when given, receives the -v records."""
     verb = args.verb
 
     if verb == "budget":
@@ -148,6 +169,7 @@ def dispatch(args) -> int:
 
     if verb == "simulate":
         records = harness.run_trials(cfg, range(cfg.trials), workers=args.threads)
+        _log_records(log, records)
         path = out or "results.csv"
         harness.export_results(records, path)
         frac = sum(r.success for r in records) / len(records)
@@ -173,6 +195,7 @@ def dispatch(args) -> int:
 
     if verb == "trial":
         record = harness.run_trial(cfg, args.index)
+        _log_records(log, [record])
         if out:
             harness.export_results([record], out)
         print(f"trial {args.index}: max_distortion={record.max_distortion:.6g} "
@@ -223,6 +246,7 @@ def dispatch(args) -> int:
     if verb == "calibrate":
         result = harness.calibrate_c(cfg, pilot_trials=args.pilot_trials,
                                      target=args.target, workers=args.threads)
+        _log_evaluations(log, result.evaluations)
         plan = result.plan
         baseline = harness.naive_baseline(p.n, p.N, cfg.m, cfg.sigma, cfg.D)
         print(f"c = {result.c:.6g} -> c_use = {plan.c_use:.6g} (m1={plan.m1}, m2={plan.m2}), "
@@ -259,8 +283,17 @@ def main(argv=None) -> int:
             args.values = _parse_values(args.values)
         except ValueError as exc:
             return _flag_fault("values", str(exc))
+    log = None
+    if getattr(args, "verbose", False):  # budget takes no -v
+        # imported here: logging adds about 0.5 MB and 5 ms to every process that imports csnc.cli
+        import logging
+
+        log = logging.getLogger(__name__)
+        handler = logging.StreamHandler(sys.stderr)
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
-        return dispatch(args)
+        return dispatch(args, log)
     except harness.CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -270,6 +303,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if log is not None:
+            log.removeHandler(handler)
+            log.setLevel(logging.NOTSET)
 
 
 if __name__ == "__main__":

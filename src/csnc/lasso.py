@@ -26,6 +26,8 @@ import numpy as np
 
 from .mathcore import as_matrix, as_vector
 
+_GRAM_ROWS = 8  # Gram rows solve_lasso allocates first; it doubles them when the active set outgrows them
+
 
 @dataclass
 class LassoProblem:
@@ -56,10 +58,6 @@ class LassoProblem:
     def p(self) -> int:
         return self.G.shape[1]
 
-    def objective(self, coef) -> float:
-        r = self.z - self.G @ coef
-        return float(0.5 * (r @ r) / self.q + self.xi * np.sum(np.abs(coef)))
-
 
 @dataclass
 class LassoSolution:
@@ -82,16 +80,16 @@ def kkt_check(prob: LassoProblem, coef) -> float:
     c = as_vector(coef, "coef")
     if c.shape[0] != prob.p:
         raise ValueError("coef length must match design columns")
-    g = prob.G.T @ (prob.G @ c - prob.z) / prob.q
-    active = c != 0
-    viol_active = np.abs(g[active] + prob.xi * np.sign(c[active]))
-    viol_inactive = np.maximum(np.abs(g[~active]) - prob.xi, 0.0)
-    worst = 0.0
-    if viol_active.size:
-        worst = max(worst, float(viol_active.max()))
-    if viol_inactive.size:
-        worst = max(worst, float(viol_inactive.max()))
-    return worst
+    return _scores(prob, c)[1]
+
+
+def _scores(prob: LassoProblem, coef) -> tuple[float, float]:
+    """The objective of coef and its KKT residual (see kkt_check), both from one residual z - G coef."""
+    r = prob.z - prob.G @ coef
+    g = prob.G.T @ -r / prob.q
+    viol = np.where(coef != 0, np.abs(g + prob.xi * np.sign(coef)), np.abs(g) - prob.xi)
+    objective = float(0.5 * (r @ r) / prob.q + prob.xi * np.sum(np.abs(coef)))
+    return objective, max(float(viol.max()), 0.0)
 
 
 def default_xi(sigma_hat: float, q: int, p: int, scale: float = 2.0) -> float:
@@ -109,15 +107,25 @@ def default_xi(sigma_hat: float, q: int, p: int, scale: float = 2.0) -> float:
 def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8) -> LassoSolution:
     """Exact solve by following the piecewise-linear solution path in lam.
 
-    The path starts from the null solution at lam_max = max|(1/q) G^T z|.
-    Along each piece the active columns A, with signs s, hold their
-    correlations c_A = (1/q) G_A^T (z - G y) at exactly lam * s, so y_A
-    moves along d = ((1/q) G_A^T G_A)^{-1} s as lam falls.  A piece ends
-    at the nearest event: an inactive correlation reaches +-lam (the
-    column joins) or an active coefficient reaches zero (it leaves).
-    At xi the coefficients are solved once more on the final active
-    set and sign pattern (Osborne, Presnell & Turlach 2000; Efron et
-    al. 2004).
+    The path starts from the null solution at lam_max = max|c|, c being
+    the correlations (1/q) G^T z.  Along each piece the active columns
+    A, with signs s, hold their correlations c_A = (1/q) G_A^T (z - G y)
+    at exactly lam * s, so y_A moves along d = H_AA^{-1} s as lam falls,
+    with H = (1/q) G^T G, and every correlation moves along a = d H_A.
+    A piece ends at the nearest event: an inactive correlation reaches
+    +-lam (the column joins) or an active coefficient reaches zero (it
+    leaves).  At xi the coefficients are solved once more on G_A, with
+    the final active set and sign pattern (Osborne, Presnell & Turlach
+    2000; Efron et al. 2004).
+
+    The path is stepped in Gram-row form: c is formed once, and the row
+    H_j = (1/q) G_j^T G of a column is formed when it joins and dropped
+    when it leaves, so a step costs one |A| x |A| solve and one
+    |A| x p product.  The first piece is the zero-length step at which
+    the column of largest |c_j| joins with sign(c_j); it counts as a
+    path step.  Only the events depend on how the path is stepped: the
+    finish on G_A is the same, so a certified solve that meets the same
+    events returns the same coefficients to the bit.
 
     Args:
         prob: the instance to solve.
@@ -133,57 +141,80 @@ def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8) -
         raise ValueError("max_iter must be >= 1")
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    G, z, q, xi = prob.G, prob.z, prob.q, prob.xi
-    coef = np.zeros(prob.p)
-    active: list[int] = []
-    signs: list[float] = []
-    lam = float(np.max(np.abs(G.T @ z))) / q
-    barred = None  # the column that just left may not rejoin on the next step
-    steps = 0
+    G, z, q, p, xi = prob.G, prob.z, prob.q, prob.p, prob.xi
+    coef = np.zeros(p)
+    # row 0 holds c and row 1 -c, so that both join bounds lam -+ c over 1 -+ a are one 2 x p expression
+    C = np.empty((2, p))
+    C[0] = G.T @ z / q
+    np.negative(C[0], out=C[1])
+    top = np.abs(C[0])
+    j = int(top.argmax())
+    lam = float(top[j])
     reached = lam <= xi
-    R = np.empty((q, 2))  # residual and G_A d: the right-hand sides of one G^T product
+    # the first k entries: active columns in join order, their signs, coefficients and
+    # Gram rows H[i] = (1/q) G_j^T G; H starts small and doubles when full
+    active, signs, coef_a = np.empty(p, dtype=np.intp), np.empty(p), np.empty(p)
+    H = np.empty((_GRAM_ROWS, p))
+    k = steps = 0
+    if not reached:  # first piece: the top column j joins at lam_max itself
+        active[0], signs[0], coef_a[0] = j, 1.0 if C[0, j] > 0 else -1.0, 0.0
+        H[0] = G[:, j] @ G / q
+        k = steps = 1
+    Ad = np.empty((2, p))  # a and -a
+    num, den, ratio = np.empty((2, p)), np.empty((2, p)), np.empty((2, p))
+    movable = np.empty((2, p), dtype=bool)
+    join = np.empty(p)
+    barred = None  # the column that just left may not rejoin on the next step
     try:
         while not reached and steps < max_iter:
-            GA = G[:, active]
-            d = q * np.linalg.solve(GA.T @ GA, signs)
-            coef_a = coef[active]
-            R[:, 0] = z - GA @ coef_a
-            R[:, 1] = GA @ d
-            c, a = (G.T @ R / q).T
+            A, ca = active[:k], coef_a[:k]
+            d = np.linalg.solve(H[:k, A], signs[:k])
+            np.matmul(d, H[:k], out=Ad[0])
+            np.negative(Ad[0], out=Ad[1])
             # after a step g an inactive c_j - g a_j meets lam - g or -(lam - g);
             # one moving (almost) parallel to the bound, such as a copy of an
             # active column, never joins, and one past it by rounding joins at once
-            up = np.divide(lam - c, 1.0 - a, out=np.full(prob.p, np.inf), where=1.0 - a > 1e-10)
-            down = np.divide(lam + c, 1.0 + a, out=np.full(prob.p, np.inf), where=1.0 + a > 1e-10)
-            cross = np.divide(-coef_a, d, out=np.full(len(active), np.inf), where=coef_a * d < 0)
-            join = np.maximum(np.minimum(up, down), 0.0)
-            join[active] = np.inf
+            np.subtract(lam, C, out=num)
+            np.subtract(1.0, Ad, out=den)
+            np.greater(den, 1e-10, out=movable)
+            ratio.fill(np.inf)
+            np.divide(num, den, out=ratio, where=movable)
+            np.maximum(ratio.min(axis=0, out=join), 0.0, out=join)
+            join[A] = np.inf
             if barred is not None:
                 join[barred] = np.inf
-            j = int(np.argmin(join))
+            j = int(join.argmin())
+            cross = np.divide(-ca, d, out=np.full(k, np.inf), where=ca * d < 0)
             end = lam - xi
             step = min(end, join[j], cross.min(initial=np.inf))
-            coef[active] += step * d
+            ca += step * d
+            C -= step * Ad
             lam -= step
             steps += 1
             barred = None
             if step == end:
                 reached = True
             elif step == join[j]:
-                active.append(j)
-                signs.append(1.0 if up[j] <= down[j] else -1.0)
+                if k == H.shape[0]:
+                    H = np.concatenate([H, np.empty_like(H)])
+                H[k] = G[:, j] @ G / q
+                active[k], signs[k], coef_a[k] = j, 1.0 if ratio[0, j] <= ratio[1, j] else -1.0, 0.0
+                k += 1
             else:
-                k = int(np.argmin(cross))
-                barred = active.pop(k)
-                coef[barred] = 0.0
-                del signs[k]
+                i = int(cross.argmin())
+                barred = int(active[i])
+                for buf in (active, signs, coef_a, H):
+                    buf[i:k - 1] = buf[i + 1:k]
+                k -= 1
         if reached:
-            GA = G[:, active]
-            coef[active] = np.linalg.solve(GA.T @ GA, GA.T @ z - q * xi * np.asarray(signs))
+            GA = G[:, active[:k]]
+            coef[active[:k]] = np.linalg.solve(GA.T @ GA, GA.T @ z - q * xi * signs[:k])
     except np.linalg.LinAlgError:
         reached = False
-    kkt = kkt_check(prob, coef)
-    return LassoSolution(coef, prob.objective(coef), kkt, steps, reached and kkt <= 10.0 * tol)
+    if not reached:
+        coef[active[:k]] = coef_a[:k]
+    objective, kkt = _scores(prob, coef)
+    return LassoSolution(coef, objective, kkt, steps, reached and kkt <= 10.0 * tol)
 
 
 def debias_refit(z, D, coef) -> np.ndarray:
@@ -198,8 +229,13 @@ def debias_refit(z, D, coef) -> np.ndarray:
     D = as_matrix(D, "design")
     z = as_vector(z, "observations")
     c = as_vector(coef, "coef")
-    out = np.zeros_like(c)
-    S = np.flatnonzero(c)
+    return _refit(z, D, c)
+
+
+def _refit(z, D, coef) -> np.ndarray:
+    """debias_refit on inputs already validated, such as a solved LassoProblem's."""
+    out = np.zeros_like(coef)
+    S = np.flatnonzero(coef)
     if S.size:
         sol, *_ = np.linalg.lstsq(D[:, S], z, rcond=None)
         sol[np.abs(sol) < 1e-12 * np.max(np.abs(sol), initial=0.0)] = 0.0
@@ -235,10 +271,9 @@ def decode_spatial(Z, D, Psi, xi, debias=True, max_iter=10_000, tol=1e-8):
     per on-off pattern).  Solves the LASSO with q = len(Z) and returns
     (mu, y_hat, solution) with y_hat = Psi mu.
     """
-    sol = solve_lasso(LassoProblem(Z, D, xi), max_iter=max_iter, tol=tol)
-    mu = sol.coef
-    if debias:
-        mu = debias_refit(np.asarray(Z, dtype=float), D, mu)
+    prob = LassoProblem(Z, D, xi)
+    sol = solve_lasso(prob, max_iter=max_iter, tol=tol)
+    mu = _refit(prob.z, prob.G, sol.coef) if debias else sol.coef
     return mu, Psi @ mu, sol
 
 
@@ -249,10 +284,9 @@ def decode_temporal(y_row, D, Phi, xi, debias=True, max_iter=10_000, tol=1e-8):
     receiver).  Solves the LASSO with q = len(y_row) and returns
     (theta, x_hat, solution) with x_hat = Phi theta.
     """
-    sol = solve_lasso(LassoProblem(y_row, D, xi), max_iter=max_iter, tol=tol)
-    theta = sol.coef
-    if debias:
-        theta = debias_refit(np.asarray(y_row, dtype=float), D, theta)
+    prob = LassoProblem(y_row, D, xi)
+    sol = solve_lasso(prob, max_iter=max_iter, tol=tol)
+    theta = _refit(prob.z, prob.G, sol.coef) if debias else sol.coef
     return theta, Phi @ theta, sol
 
 

@@ -306,3 +306,42 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "c_use" in proc.stdout
+
+
+class TestVerbose:
+    """-v logs to stderr only: stdout and written files are the same with or without it."""
+
+    def run(self, argv, capsys):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize("verb, indices", [(["trial", "--index", "2"], [2]), (["simulate"], [0, 1, 2])])
+    def test_trial_records_logged(self, cfg_path, tmp_path, capsys, verb, indices):
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        rc, out, err = self.run(verb + ["--config", cfg_path, "--threads", "1", "--output", a], capsys)
+        assert rc == 0 and err == ""
+        rc_v, out_v, err_v = self.run(verb + ["--config", cfg_path, "--threads", "1", "--output", b, "-v"], capsys)
+        assert rc_v == 0
+        assert out_v == out.replace(a, b)
+        assert open(a, "rb").read() == open(b, "rb").read()
+        lines = err_v.splitlines()
+        assert [int(re.match(r"trial (\d+): ", line).group(1)) for line in lines] == indices
+        assert all(re.search(r"timing_ms=\S+ converged=(True|False) max_distortion=\S+$", line) for line in lines)
+
+    def test_calibration_table_logged(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "cal.cfg", trials=2)
+        a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+        argv = ["calibrate", "--config", cfg, "--pilot-trials", "20", "--threads", "1"]
+        rc, out, err = self.run(argv + ["--output", a], capsys)
+        assert rc == 0 and err == ""
+        rc_v, out_v, err_v = self.run(argv + ["--output", b, "--verbose"], capsys)
+        assert rc_v == 0 and out_v == out
+        assert open(a, "rb").read() == open(b, "rb").read()
+        lines = err_v.splitlines()
+        assert lines[0] == "calibration evaluations:"
+        assert lines[1].split() == ["c", "m1", "m2", "success"]
+        rows = [line.split() for line in lines[2:]]
+        assert rows and all(len(r) == 4 for r in rows)
+        c_reported = float(re.match(r"c = (\S+)", out).group(1))
+        assert any(float(r[0]) == pytest.approx(c_reported, rel=1e-5) for r in rows)

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import csnc.lasso
+from csnc.harness import ExperimentConfig, run_trial
 from csnc.lasso import (
+    _GRAM_ROWS,
     LassoProblem,
     debias_refit,
     decode_all,
@@ -354,14 +357,17 @@ class TestDecodeAll:
 
 
 def path_instance(seed, q, p, mix, duplicate, frac):
-    """Instance whose columns share mix times column 0, which makes paths drop columns."""
+    """(z, G, xi, duplicate): columns share mix times column 0, which makes paths drop columns.
+
+    With duplicate, column p-1 is a copy of column 0.
+    """
     rng = Seed(seed).rng()
     G = rng.normal(size=(q, p))
     G = G + mix * G[:, :1]
     if duplicate:
         G[:, p - 1] = G[:, 0]
     z = rng.normal(size=q)
-    return z, G, frac * np.max(np.abs(G.T @ z)) / q
+    return z, G, frac * np.max(np.abs(G.T @ z)) / q, duplicate
 
 
 @st.composite
@@ -421,28 +427,105 @@ def same_bits(a, b):
                                          and a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
+def folded(coef, duplicate):
+    """coef with a duplicate instance's copy column p-1 added into column 0, whose optimum it shares."""
+    if not duplicate:
+        return coef
+    out = coef.copy()
+    out[0] += out[-1]
+    out[-1] = 0.0
+    return out
+
+
+def assert_matches_reference(z, G, xi, duplicate=False, max_iter=10_000):
+    """solve_lasso against oracles.homotopy_path; returns the reference's (steps, drops).
+
+    The certificates always agree.  A certified path takes the same steps
+    to the same bits; a path both stop at the cap, an iterate that is
+    never scored, agrees to 1e-12 of its peak.
+    """
+    sol = solve_lasso(LassoProblem(z, G, xi), max_iter=max_iter)
+    coef, steps, drops, converged = oracles.homotopy_path(z, G, xi, max_iter=max_iter)
+    assert sol.converged == converged
+    got, ref = folded(sol.coef, duplicate), folded(coef, duplicate)
+    if converged:
+        assert sol.iterations == steps
+        assert same_bits(got, ref)
+    elif sol.iterations == steps == max_iter:
+        peak = max(np.max(np.abs(ref)), np.max(np.abs(got)))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * peak
+    return steps, drops
+
+
+def drop_positions(z, G, xi, steps):
+    """(position in the active list, list length) of each column the reference path drops.
+
+    Read from the reference's iterates capped after 1..steps steps: a
+    column that joins turns nonzero one step later, in join order, and
+    one that leaves is zeroed on its step.
+    """
+    order, drops = [], []
+    for s in range(1, steps + 1):
+        support = set(np.flatnonzero(oracles.homotopy_path(z, G, xi, max_iter=s)[0]).tolist())
+        for j in [j for j in order if j not in support]:
+            drops.append((order.index(j), len(order)))
+            order.remove(j)
+        order += sorted(support - set(order))
+    return drops
+
+
+def captured_problems(monkeypatch, cfg, index):
+    """Every LassoProblem that run_trial(cfg, index) solves."""
+    probs = []
+    solve = csnc.lasso.solve_lasso
+
+    def spy(prob, *args, **kwargs):
+        probs.append(prob)
+        return solve(prob, *args, **kwargs)
+
+    monkeypatch.setattr(csnc.lasso, "solve_lasso", spy)
+    run_trial(cfg, index)
+    monkeypatch.undo()
+    return probs
+
+
 class TestMatchesPerProblemLoop:
-    """solve_lasso and decode_all against oracles' per-step and per-problem references, bit for bit."""
+    """solve_lasso and decode_all against oracles' per-step and per-problem references."""
 
     @given(inst=path_instances(), max_iter=st.sampled_from([1, 2, 5, 10_000]))
     def test_solve_lasso_steps_and_coefficients(self, inst, max_iter):
-        z, G, xi = inst
-        sol = solve_lasso(LassoProblem(z, G, xi), max_iter=max_iter)
-        coef, steps, _, converged = oracles.homotopy_path(z, G, xi, max_iter=max_iter)
-        assert (sol.iterations, sol.converged) == (steps, converged)
-        assert same_bits(sol.coef, coef)
+        assert_matches_reference(*inst, max_iter=max_iter)
 
     def test_instances_drop_columns(self):
         # the battery's instance family does exercise drop steps and a duplicated column
         drops = dup_steps = 0
         for seed in range(60):
-            z, G, xi = path_instance(seed, 12, 30, 0.9, seed % 2 == 0, 0.01)
-            sol = solve_lasso(LassoProblem(z, G, xi))
-            coef, steps, dropped, converged = oracles.homotopy_path(z, G, xi)
-            assert (sol.iterations, sol.converged) == (steps, converged) and same_bits(sol.coef, coef)
+            steps, dropped = assert_matches_reference(*path_instance(seed, 12, 30, 0.9, seed % 2 == 0, 0.01))
             drops += dropped
             dup_steps += steps if seed % 2 == 0 else 0
         assert drops > 0 and dup_steps > 0
+
+    def test_active_set_outgrows_gram_rows_and_drops_inside_them(self):
+        z, G, xi, _ = path_instance(0, 16, 30, 0.0, False, 0.01)
+        steps, _ = assert_matches_reference(z, G, xi)
+        drops = drop_positions(z, G, xi, steps)
+        assert any(length > _GRAM_ROWS and position < length - 1 for position, length in drops)
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(SparsityProfile(128, 128, 4, 4), m=32, m1=32, m2=32, sigma=0.1, D=0.0025,
+                         master_seed=Seed(20260808)),
+        ExperimentConfig(SparsityProfile(32, 32, 2, 2), m=8, m1=13, m2=13, sigma=0.1, D=0.0025,
+                         master_seed=Seed(20260808)),
+    ], ids=["acceptance", "calibrate-small"])
+    def test_trial_solves(self, monkeypatch, cfg):
+        # every solve of trial 0: both stages of every receiver, certified and bit for bit
+        probs = captured_problems(monkeypatch, cfg, 0)
+        assert len(probs) == cfg.receivers * (cfg.m1 + cfg.profile.N)
+        for prob in probs:
+            sol = solve_lasso(prob)
+            coef, steps, _, converged = oracles.homotopy_path(prob.z, prob.G, prob.xi)
+            assert sol.converged and converged
+            assert sol.iterations == steps and same_bits(sol.coef, coef)
 
     @given(inputs=decode_inputs())
     def test_decode_all(self, inputs):

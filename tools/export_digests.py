@@ -15,7 +15,10 @@ change kept these outputs byte-identical:
 - at master seeds 20260808 and 12345, the analysis battery as perfbench's
   analysis-battery workload runs it: the 200 criterion-5 cascade reports,
   the 100 criterion-7 topologies (edges, G, G1, G2), the 10 RE estimates,
-  and a block of 600 sample_cone_vectors rows.
+  and a block of 600 sample_cone_vectors rows;
+- the number of LASSO solves all of the above made, and a digest of each
+  solve's (path steps, converged) in call order, so a change that moves
+  one solve's path shows in the same diff.
 
 Each line is "<name> <value>".  Expect about half a minute on one core.
 """
@@ -102,6 +105,16 @@ def main(argv=None) -> int:
         print(f"export_digests: imported csnc from {csnc.__file__}, not from {src}", file=sys.stderr)
         return 2
 
+    paths = []  # (iterations, converged) of every solve, in call order
+    solve_lasso = csnc.lasso.solve_lasso
+
+    def recording_solve(*args, **kwargs):
+        sol = solve_lasso(*args, **kwargs)
+        paths.append((sol.iterations, sol.converged))
+        return sol
+
+    csnc.lasso.solve_lasso = recording_solve
+
     Config = harness.ExperimentConfig
     acceptance = Config(SparsityProfile(128, 128, 4, 4), m=32, m1=32, m2=32, sigma=0.1, D=0.0025,
                         master_seed=Seed(20260808))
@@ -143,6 +156,7 @@ def main(argv=None) -> int:
     for master in (20260808, 12345):
         for name, value in analysis_digests(csnc, Seed(master)).items():
             print(f"analysis seed {master} {name} {value}")
+    print(f"solve paths {len(paths)} {sha(paths)}")
     return 0
 
 
