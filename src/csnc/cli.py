@@ -4,12 +4,12 @@ One verb per invocation.  The seed is the --seed flag's, else the
 config file's, else the CSNC_SEED environment variable's.  A config
 file holds an [experiment] section of the keys `csnc --help` lists;
 absent keys take ExperimentConfig's defaults, bools accept true/false,
-yes/no, on/off or 1/0, and an empty value is rejected except for
-xi_spatial and xi_temporal, where it means unset.  The per-trial verbs
-(generate, project, decode, re-estimate) act on trial 0 of the
-configured seed, the same trial `trial --index 0` runs.  Exit codes:
-0 success, 1 assertion or calibration failure, 2 usage error (a flag
-value out of range or malformed, reported as "invalid argument
+yes/no, on/off or 1/0, and an empty value is rejected.  No key sets a
+decoder weight: both stages derive theirs by lasso.default_xi.  The
+per-trial verbs (generate, project, decode, re-estimate) act on trial
+0 of the configured seed, the same trial `trial --index 0` runs.  Exit
+codes: 0 success, 1 assertion or calibration failure, 2 usage error (a
+flag value out of range or malformed, reported as "invalid argument
 --<flag>", or a malformed config file, reported as "invalid
 configuration"), 3 I/O error.  With -v, the trial and simulate
 verbs log each trial record's index, time, convergence and max
@@ -278,6 +278,8 @@ def main(argv=None) -> int:
         value = getattr(args, flag)
         if value is not None and value < floor:
             return _flag_fault(flag, f"must be >= {floor}")
+    if args.verb == "calibrate" and not 0 < args.target <= 1:  # calibrate_c's target range
+        return _flag_fault("target", "must lie in (0, 1]")
     if args.verb == "sweep":
         try:
             args.values = _parse_values(args.values)

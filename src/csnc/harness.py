@@ -57,7 +57,7 @@ CASES = ("case1-sparseB", "case2-denseB")
 # substream tags
 _TRIAL, _DICTS, _ENSEMBLE, _PROJ, _TOPO, _TRANSFER, _PATTERN, _NOISE, _PILOT = range(1, 10)
 
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -84,9 +84,6 @@ class ExperimentConfig:
     amp_hi: float = 16.0
     redraw_b_per_t: bool = True
     debias: bool = True
-    xi_spatial: float | None = None
-    xi_temporal: float | None = None
-    xi_scale: float = 2.0
     stage2: bool = True  # False: stage-1 scaling experiments skip the temporal decode
 
     def __post_init__(self):
@@ -187,16 +184,16 @@ def build_trial(cfg: ExperimentConfig, index: int) -> Trial:
 
 
 def decode_trial(cfg: ExperimentConfig, trial: Trial) -> list[DecodeResult]:
-    """Pipeline step 4: the two-stage decode at every receiver, scored against the truth."""
-    xi_spatial = cfg.xi_spatial
-    if xi_spatial is None:
-        xi_spatial = default_xi(cfg.sigma, cfg.m2, cfg.profile.N, scale=cfg.xi_scale)
+    """Pipeline step 4: the two-stage decode at every receiver, scored against the truth.
+
+    The stage-1 weight is default_xi of the channel noise level sigma.
+    """
+    xi_spatial = default_xi(cfg.sigma, cfg.m2, cfg.profile.N)
     diags = [pat.diag for pat in trial.patterns]
     return [
         decode_all(
             obs, tm.G, diags, trial.dicts.Psi, trial.dicts.Phi, trial.op.A, xi_spatial,
-            xi_temporal=cfg.xi_temporal, truth_X=trial.ens.X, proj_truth=trial.Y,
-            debias=cfg.debias, xi_scale=cfg.xi_scale, run_temporal=cfg.stage2,
+            truth_X=trial.ens.X, proj_truth=trial.Y, debias=cfg.debias, run_temporal=cfg.stage2,
         )
         for tm, obs in zip(trial.transfers, trial.observations)
     ]
@@ -340,6 +337,8 @@ def calibrate_c(
     """
     if pilot_trials < 20:
         raise ValueError("need at least 20 pilot trials")
+    if not 0 < target <= 1:
+        raise ValueError("target must lie in (0, 1]")
     p = cfg.profile
     batches = [
         replace(cfg, master_seed=cfg.master_seed.child(_PILOT, b), trials=pilot_trials)
@@ -397,41 +396,29 @@ def calibrate_c(
     return CalibrationResult(hi, best_plan, best_frac, evals)
 
 
-def direct_recovery_trial(
-    q: int,
-    p: int,
-    k: int,
-    sigma: float,
-    seed: Seed,
-    amp_range=(1.0, 2.0),
-    xi: float | None = None,
-    debias: bool = True,
-    xi_scale: float = 2.0,
-):
+def direct_recovery_trial(q: int, p: int, k: int, sigma: float, seed: Seed, debias: bool = True):
     """One single-stage recovery experiment: z = G mu + w, decode, score.
 
-    Draws a k-sparse truth with magnitudes in amp_range, a direct
-    Gaussian q x p transfer matrix, and AWGN at level sigma; decodes
-    by one LASSO solve on G, the spatial decode's design for an all-on
-    pattern and the identity dictionary.  When xi is None it
-    defaults to the sigma-driven weight, or to a small data-relative
-    level in the noiseless case.  Returns (sq_err, support_exact,
-    rel_err).
+    Draws a k-sparse truth with magnitudes in [1, 2] and random signs, a
+    direct Gaussian q x p transfer matrix, and AWGN at level sigma;
+    decodes by one LASSO solve on G, the spatial decode's design for an
+    all-on pattern and the identity dictionary.  The weight is
+    default_xi(sigma, q, p), or in the noiseless case a small
+    data-relative level.  Returns (sq_err, support_exact, rel_err).
     """
     rng = seed.child(0).rng()
     support = np.sort(rng.choice(p, size=k, replace=False))
     mu = np.zeros(p)
     if k:
-        mags = rng.uniform(amp_range[0], amp_range[1], size=k)
+        mags = rng.uniform(1.0, 2.0, size=k)
         mu[support] = mags * (2.0 * rng.integers(0, 2, size=k) - 1.0)
     tm = direct_transfer_matrix(q, p, seed.child(1))
     pat = OnOffPattern(np.ones(p), 1.0)
     z = transmit(tm, pat, mu, ChannelModel(sigma), seed.child(2))
-    if xi is None:
-        if sigma > 0:
-            xi = default_xi(sigma, q, p, scale=xi_scale)
-        else:
-            xi = max(1e-4 * np.max(np.abs(tm.G.T @ z)) / q, 1e-12)
+    if sigma > 0:
+        xi = default_xi(sigma, q, p)
+    else:
+        xi = max(1e-4 * np.max(np.abs(tm.G.T @ z)) / q, 1e-12)
     mu_hat = lasso.solve_lasso(LassoProblem(z, tm.G, xi)).coef
     if debias:
         mu_hat = lasso.debias_refit(z, tm.G, mu_hat)
@@ -486,8 +473,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1) -> SweepRe
     The log-log slope of the median stage-1 squared error is fit
     against sigma^2 (expected slope +1), m2 (-1), or k2 (+1); the m1
     axis fits the median end distortion instead (-1), and the N axis
-    reports statistics only.  Degenerate cells whose median error is
-    zero are excluded from the regression and listed in the result.
+    reports statistics only.  A cell whose axis value is not positive,
+    or whose fitted median is not positive and finite, is left out of
+    the fit and listed in the result's `excluded`.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
@@ -516,19 +504,12 @@ def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1) -> SweepRe
     slope = None
     excluded: list[float] = []
     if len(values) >= 2 and axis != "N":
-        if axis == "sigma":
-            xs = [2.0 * math.log(c.value) for c in cells if c.value > 0]  # log sigma^2
-            ys = [c.median_stage1_sq_err for c, x in zip(cells, values) if x > 0]
-        elif axis == "m1":
-            xs = [math.log(c.value) for c in cells]
-            ys = [c.median_max_distortion for c in cells]
-        else:
-            xs = [math.log(c.value) for c in cells]
-            ys = [c.median_stage1_sq_err for c in cells]
         keep_x, keep_y = [], []
-        for x, y, c in zip(xs, ys, cells):
-            if y > 0 and math.isfinite(y):
-                keep_x.append(x)
+        for c in cells:
+            y = c.median_max_distortion if axis == "m1" else c.median_stage1_sq_err
+            if c.value > 0 and y > 0 and math.isfinite(y):
+                x = math.log(c.value)
+                keep_x.append(2.0 * x if axis == "sigma" else x)  # the sigma axis fits against sigma^2
                 keep_y.append(math.log(y))
             else:
                 excluded.append(c.value)
@@ -612,21 +593,16 @@ def write_summary(path: str, lines: dict) -> None:
 
 
 def _format(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
 
 
 def _parse(section, key: str, kind):
-    """One config value read as its field's type; empty means None for a `float | None` field only."""
+    """One config value read as its field's type; an empty value is an error."""
     if section[key] == "":
-        if kind == float | None:
-            return None
         raise ValueError(f"config key {key} is empty")
-    get = {bool: section.getboolean, int: section.getint, str: section.get,
-           float: section.getfloat, float | None: section.getfloat}[kind]
+    get = {bool: section.getboolean, int: section.getint, str: section.get, float: section.getfloat}[kind]
     try:
         return get(key)
     except ValueError as exc:
@@ -677,8 +653,8 @@ def load_config(path: str, default_seed: Seed | None = None) -> ExperimentConfig
     out takes ExperimentConfig's default, and default_seed, when given,
     replaces the default seed.  Values are read by field type: bools
     accept true/false, yes/no, on/off and 1/0, and an empty value is
-    rejected except for xi_spatial and xi_temporal, where it means unset.
-    A malformed file, an unknown key or a missing required key raises
+    rejected.  A malformed file, an unknown key (the three weight keys
+    of a schema-1 file among them) or a missing required key raises
     ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)

@@ -12,9 +12,9 @@ checkable certificate.
 
 On top of the solver sit the two decoding stages of the pipeline: a
 spatial decode per time index (design G B Psi) and a temporal decode
-per source (design A Phi), each on a prebuilt design, plus decode_all,
-which builds a receiver's designs once and runs both stages over its
-whole observation block.
+per source (design A Phi), one stage function on a prebuilt design,
+plus decode_all, which builds a receiver's designs once and runs both
+stages over its whole observation block.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def _scores(prob: LassoProblem, coef) -> tuple[float, float]:
     return objective, max(float(viol.max()), 0.0)
 
 
-def default_xi(sigma_hat: float, q: int, p: int, scale: float = 2.0) -> float:
-    """High-probability regularization weight scale * sigma * sqrt(2 ln p / q).
+def default_xi(sigma_hat: float, q: int, p: int) -> float:
+    """High-probability regularization weight 2 sigma sqrt(2 ln p / q) (Bickel, Ritov & Tsybakov 2009).
 
     Floored at 1e-12 so the objective stays well-posed when sigma_hat = 0.
     """
@@ -101,7 +101,7 @@ def default_xi(sigma_hat: float, q: int, p: int, scale: float = 2.0) -> float:
         raise ValueError("sigma_hat must be nonnegative")
     if q < 1 or p < 2:
         raise ValueError("need q >= 1 and p >= 2")
-    return max(scale * sigma_hat * math.sqrt(2.0 * math.log(p) / q), 1e-12)
+    return max(2.0 * sigma_hat * math.sqrt(2.0 * math.log(p) / q), 1e-12)
 
 
 def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8) -> LassoSolution:
@@ -264,30 +264,24 @@ class DecodeResult:
     temporal_converged: bool = True
 
 
-def decode_spatial(Z, D, Psi, xi, debias=True, max_iter=10_000, tol=1e-8):
-    """Stage-1 decode: recover (mu, y_hat) from Z = D mu + W.
+def decode_spatial(z, D, basis, xi, debias=True):
+    """One decode stage: recover (coef, basis @ coef) from z ~ D coef.
 
-    D is the prebuilt design G diag(b) Psi (decode_all builds it once
-    per on-off pattern).  Solves the LASSO with q = len(Z) and returns
-    (mu, y_hat, solution) with y_hat = Psi mu.
+    D is a prebuilt design, which decode_all builds once per design it
+    shares.  Stage 1 decodes the time slice Z^t on G diag(b_t) Psi with
+    basis Psi, giving (mu, y_hat); stage 2, decode_temporal, the same
+    function, decodes row i of y_hat on A Phi with basis Phi, giving
+    (theta, x_hat).  Solves the LASSO with q = len(z), refits the
+    recovered support by least squares when debias, and returns
+    (coef, basis @ coef, solution).
     """
-    prob = LassoProblem(Z, D, xi)
-    sol = solve_lasso(prob, max_iter=max_iter, tol=tol)
-    mu = _refit(prob.z, prob.G, sol.coef) if debias else sol.coef
-    return mu, Psi @ mu, sol
+    prob = LassoProblem(z, D, xi)
+    sol = solve_lasso(prob)
+    coef = _refit(prob.z, prob.G, sol.coef) if debias else sol.coef
+    return coef, basis @ coef, sol
 
 
-def decode_temporal(y_row, D, Phi, xi, debias=True, max_iter=10_000, tol=1e-8):
-    """Stage-2 decode: recover (theta, x_hat) from y_row ~ D theta.
-
-    D is the prebuilt design A Phi (decode_all builds it once per
-    receiver).  Solves the LASSO with q = len(y_row) and returns
-    (theta, x_hat, solution) with x_hat = Phi theta.
-    """
-    prob = LassoProblem(y_row, D, xi)
-    sol = solve_lasso(prob, max_iter=max_iter, tol=tol)
-    theta = _refit(prob.z, prob.G, sol.coef) if debias else sol.coef
-    return theta, Phi @ theta, sol
+decode_temporal = decode_spatial
 
 
 def decode_all(
@@ -298,18 +292,19 @@ def decode_all(
     Phi,
     A,
     xi_spatial,
-    xi_temporal=None,
     truth_X=None,
     proj_truth=None,
     debias=True,
-    xi_scale=2.0,
     run_temporal=True,
 ):
     """Run both decoder stages over an m2 x m1 receiver observation block.
 
     Each design is built once: the stage-1 design G diag(b_t) Psi only
     when pattern t differs from pattern t-1, and the stage-2 design
-    A Phi once for all N sources.
+    A Phi once for all N sources.  The stage-2 weight of source i is
+    default_xi of a stage-1 error level: rms(y_hat_i - A X_i) when
+    truth_X is given, else the median stage-1 fit residual
+    rms(Z^t - G diag(b_t) y_hat^t), shared by all sources.
 
     Args:
         receiver_obs: m2 x m1 matrix, column t = the observations Z^t.
@@ -318,16 +313,11 @@ def decode_all(
         Psi, Phi: spatial (N x N) and temporal (n x n) dictionaries.
         A: m1 x n projection matrix shared by all sources.
         xi_spatial: stage-1 regularization weight.
-        xi_temporal: stage-2 weight shared by all sources, or None.
-            When None, a per-source weight is derived from the measured
-            stage-1 residual scale if truth is available, otherwise from
-            the median stage-1 fit residual.
         truth_X: optional N x n ground-truth sample matrix; enables the
-            per-source distortion report and residual-driven xi.
+            per-source distortion report and the truth-driven weight.
         proj_truth: optional m1 x N matrix of the true projected samples
             (column i = A X_i); recomputed from truth_X when omitted.
         debias: least-squares refit on each recovered support.
-        xi_scale: scale passed to default_xi for derived stage-2 weights.
         run_temporal: skip the per-source temporal stage when False
             (stage-1 scaling experiments); theta_hat and x_hat stay zero
             and the distortion report is that of the zero reconstruction.
@@ -354,7 +344,7 @@ def decode_all(
     if truth_X is not None:
         truth_X = as_matrix(truth_X, "truth_X")
     stage2 = m1 > 0 and run_temporal
-    fallback = stage2 and xi_temporal is None and truth_X is None  # weight from the fit residuals
+    fallback = stage2 and truth_X is None  # weight from the fit residuals
 
     mu_hat = np.zeros((N, m1))
     y_hat = np.zeros((m1, N))
@@ -375,17 +365,13 @@ def decode_all(
     x_hat = np.zeros((N, n))
     temporal_ok = True
     if stage2:
-        if xi_temporal is not None:
-            xis = [float(xi_temporal)] * N
-        elif truth_X is not None:
+        if fallback:
+            xis = [default_xi(float(np.median(fit_rms)), m1, n)] * N
+        else:
             if proj_truth is None:
                 proj_truth = A @ truth_X.T
-            xis = [
-                default_xi(np.linalg.norm(y_hat[:, i] - proj_truth[:, i]) / math.sqrt(m1), m1, n, scale=xi_scale)
-                for i in range(N)
-            ]
-        else:
-            xis = [default_xi(float(np.median(fit_rms)), m1, n, scale=xi_scale)] * N  # channel-scale fallback
+            xis = [default_xi(np.linalg.norm(y_hat[:, i] - proj_truth[:, i]) / math.sqrt(m1), m1, n)
+                   for i in range(N)]
         D = as_matrix(A, "A") @ Phi
         for i, xi_i in enumerate(xis):
             theta, xh, sol = decode_temporal(y_hat[:, i], D, Phi, xi_i, debias=debias)

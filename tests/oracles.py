@@ -226,19 +226,19 @@ def refit(z, D, coef):
     return out
 
 
-def decode_loop(receiver_obs, G, patterns, Psi, Phi, A, xi_spatial, xi_temporal=None, truth_X=None,
-                proj_truth=None, debias=True, xi_scale=2.0, run_temporal=True):
+def decode_loop(receiver_obs, G, patterns, Psi, Phi, A, xi_spatial, truth_X=None, proj_truth=None,
+                debias=True, run_temporal=True):
     """Both decode stages one problem at a time, each building its own design.
 
     Stage 1 solves column t of receiver_obs on G diag(b_t) Psi; stage 2 solves
-    row i of y_hat on A Phi with the shared xi_temporal, or else a
-    per-source weight from the truth residual rms(y_hat_i - A X_i) when
-    truth_X is given, or else from the median stage-1 fit residual.
+    row i of y_hat on A Phi with a per-source weight from the truth
+    residual rms(y_hat_i - A X_i) when truth_X is given, or else from the
+    median stage-1 fit residual.
     Returns (mu_hat, y_hat, theta_hat, x_hat, distortion or None,
     spatial_ok, temporal_ok).
     """
     def weight(sigma, q, p):
-        return max(xi_scale * sigma * math.sqrt(2.0 * math.log(p) / q), 1e-12)
+        return max(2.0 * sigma * math.sqrt(2.0 * math.log(p) / q), 1e-12)
 
     obs = receiver_obs
     N, n, m1 = Psi.shape[0], Phi.shape[0], obs.shape[1]
@@ -264,9 +264,7 @@ def decode_loop(receiver_obs, G, patterns, Psi, Phi, A, xi_spatial, xi_temporal=
     temporal_ok = True
     if m1 > 0 and run_temporal:
         for i in range(N):
-            if xi_temporal is not None:
-                xi_i = float(xi_temporal)
-            elif residual_rms is not None:
+            if residual_rms is not None:
                 xi_i = weight(residual_rms[i], m1, n)
             else:
                 xi_i = weight(float(np.median(fit_rms)), m1, n)

@@ -56,7 +56,7 @@ class TestParsing:
             cli.main(["--help"])
         assert err.value.code == 0
         out = " ".join(capsys.readouterr().out.split())  # undo argparse line wrapping
-        assert "schema version 1" in out
+        assert "schema version 2" in out
         for verb in ("generate", "project", "simulate", "decode", "re-estimate",
                      "cascade-check", "trial", "sweep", "calibrate", "budget"):
             assert verb in out
@@ -217,7 +217,11 @@ class TestAnalysisVerbs:
         (["calibrate", "--pilot-trials", "0"], "--pilot-trials: must be >= 20"),
         (["re-estimate", "--sparsity", "0"], "--sparsity: must be >= 1"),
         (["trial", "--index", "-1"], "--index: must be >= 0"),
-    ], ids=["values-not-numbers", "values-descending", "few-pilot-trials", "no-sparsity", "negative-index"])
+        (["calibrate", "--target", "-0.5"], "--target: must lie in (0, 1]"),
+        (["calibrate", "--target", "nan"], "--target: must lie in (0, 1]"),
+        (["calibrate", "--target", "1.5"], "--target: must lie in (0, 1]"),
+    ], ids=["values-not-numbers", "values-descending", "few-pilot-trials", "no-sparsity", "negative-index",
+            "negative-target", "nan-target", "target-above-one"])
     def test_flag_fault_is_named(self, cfg_path, capsys, argv, message):
         assert cli.main(argv[:1] + ["--config", cfg_path] + argv[1:]) == 2
         captured = capsys.readouterr()
@@ -269,6 +273,14 @@ class TestAnalysisVerbs:
         assert cli.main(["trial", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert "invalid configuration" in err and "Traceback" not in err
+
+    def test_schema_1_weight_key_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "old.cfg"
+        path.write_text("[experiment]\nschema = 1\nN = 16\nn = 12\nk1 = 2\nk2 = 2\nm = 4\nm1 = 8\nm2 = 12\n"
+                        "sigma = 0.05\nD = 0.01\nxi_scale = 2.0\n")
+        assert cli.main(["trial", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: unknown config keys: ['xi_scale']" in err
 
 
 class TestSeedPrecedence:

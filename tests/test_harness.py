@@ -162,12 +162,17 @@ class TestConvergenceFlag:
 
     @pytest.mark.parametrize("capped", ["solve_lasso", "decode_spatial", "decode_temporal"])
     def test_capped_solver_is_flagged(self, monkeypatch, capped):
+        # solve_lasso is capped at one path step; a decode stage hands back its solutions marked unconverged
         fn = getattr(csnc.lasso, capped)
 
-        def one_sweep(*args, **kw):
-            return fn(*args, **{**kw, "max_iter": 1})
+        def one_step(prob):
+            return fn(prob, max_iter=1)
 
-        monkeypatch.setattr(csnc.lasso, capped, one_sweep)
+        def unconverged(*args, **kw):
+            coef, fit, sol = fn(*args, **kw)
+            return coef, fit, replace(sol, converged=False)
+
+        monkeypatch.setattr(csnc.lasso, capped, one_step if capped == "solve_lasso" else unconverged)
         assert run_trial(small_cfg(), 0).converged is False
 
 
@@ -342,6 +347,11 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate_c(self._cfg(), pilot_trials=5)
 
+    @pytest.mark.parametrize("target", [-0.5, 0.0, math.nan, 1.5])
+    def test_target_out_of_range(self, target):
+        with pytest.raises(ValueError, match="target"):
+            calibrate_c(self._cfg(), pilot_trials=20, target=target)
+
 
 class TestSweep:
     def test_single_value_axis_has_no_slope(self):
@@ -366,14 +376,27 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(small_cfg(trials=2), "k1", [1, 2])
 
+    SOURCE_FREE = ExperimentConfig(
+        profile=SparsityProfile(N=16, n=12, k1=0, k2=0),
+        m=4, m1=6, m2=8, sigma=0.0, D=1e-4, master_seed=Seed(2), trials=2,
+    )
+
     def test_zero_error_cells_excluded(self):
-        cfg = ExperimentConfig(
-            profile=SparsityProfile(N=16, n=12, k1=0, k2=0),
-            m=4, m1=6, m2=8, sigma=0.0, D=1e-4, master_seed=Seed(2), trials=2,
-        )
-        res = sweep(cfg, "m2", [4, 8])
+        res = sweep(self.SOURCE_FREE, "m2", [4, 8])
         assert res.slope is None
         assert res.excluded == [4.0, 8.0]
+
+    def test_zero_error_sigma_cells_excluded(self):
+        # every cell of a source-free config decodes to zero error, so all three are listed
+        res = sweep(self.SOURCE_FREE, "sigma", [0.0, 0.05, 0.1])
+        assert res.slope is None
+        assert res.excluded == [0.0, 0.05, 0.1]
+
+    def test_zero_sigma_cell_excluded(self):
+        # sigma = 0 has no log sigma^2: it is left out of the fit and listed
+        res = sweep(small_cfg(trials=2), "sigma", [0.0, 0.05, 0.1])
+        assert res.excluded == [0.0]
+        assert res.slope is not None
 
     def test_export(self, tmp_path):
         res = sweep(small_cfg(trials=2), "m2", [16, 20])
@@ -425,7 +448,7 @@ class TestExports:
 
 class TestConfigIO:
     def test_round_trip(self, tmp_path):
-        cfg = small_cfg(xi_spatial=0.123, redraw_b_per_t=False, case="case1-sparseB")
+        cfg = small_cfg(redraw_b_per_t=False, case="case1-sparseB")
         path = str(tmp_path / "exp.cfg")
         save_config(cfg, path)
         loaded = load_config(path)
@@ -436,6 +459,15 @@ class TestConfigIO:
         path.write_text("[experiment]\nN = 8\nn = 8\nk1 = 1\nk2 = 1\nm = 2\nm1 = 4\nm2 = 4\n"
                         "sigma = 0.1\nD = 0.01\nbogus = 1\n")
         with pytest.raises(ValueError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("key", ["xi_spatial", "xi_temporal", "xi_scale"])
+    def test_schema_1_weight_key_rejected(self, tmp_path, key):
+        # schema 1 wrote these three keys; the weights now follow default_xi alone
+        path = tmp_path / "exp.cfg"
+        save_config(small_cfg(), str(path))
+        path.write_text(path.read_text() + f"{key} = 0.1\n")
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
             load_config(str(path))
 
     def test_default_seed(self, tmp_path):
@@ -466,7 +498,6 @@ def configs(draw):
     else:
         m2 = draw(st.integers(1, min(N, m) if mode == "example1" else N))
     amp_lo = draw(st.floats(1e-3, 1e3))
-    xi = st.none() | st.floats(1e-12, 10.0)
     return ExperimentConfig(
         profile=SparsityProfile(N, n, draw(st.integers(0, n)), draw(st.integers(0, N))),
         m=m, m1=draw(st.integers(1, n)), m2=m2,
@@ -479,9 +510,7 @@ def configs(draw):
         connect_prob=draw(st.floats(1 / 3, 1.0)),
         receivers=draw(st.integers(1, 8)), trials=draw(st.integers(1, 1000)),
         amp_lo=amp_lo, amp_hi=draw(st.floats(amp_lo, 1e4)),
-        redraw_b_per_t=draw(st.booleans()), debias=draw(st.booleans()),
-        xi_spatial=draw(xi), xi_temporal=draw(xi),
-        xi_scale=draw(st.floats(0.1, 10.0)), stage2=draw(st.booleans()),
+        redraw_b_per_t=draw(st.booleans()), debias=draw(st.booleans()), stage2=draw(st.booleans()),
     )
 
 
@@ -506,7 +535,7 @@ class TestConfigFuzz:
             lines.append(data.draw(names.filter(lambda k: k not in CONFIG_KEYS + ("schema",))) + " = 1")
         else:
             if corruption == "empty":
-                keys, values = [k for k in CONFIG_KEYS if k not in ("xi_spatial", "xi_temporal")], st.just("")
+                keys, values = CONFIG_KEYS, st.just("")
             else:
                 keys = BOOL_KEYS
                 values = st.from_regex(r"[a-z0-9]{1,6}", fullmatch=True).filter(lambda v: v not in BOOL_SPELLINGS)

@@ -177,7 +177,7 @@ class TestDefaultXi:
     def test_direct_value(self):
         # 2 sqrt(2 ln 1000 / 100)
         expected = 2.0 * math.sqrt(2.0 * math.log(1000) / 100)
-        assert default_xi(1.0, 100, 1000, 2.0) == pytest.approx(expected, rel=1e-12)
+        assert default_xi(1.0, 100, 1000) == pytest.approx(expected, rel=1e-12)
 
     def test_q_homogeneity(self):
         a = default_xi(1.0, 100, 500)
@@ -349,11 +349,13 @@ class TestDecodeAll:
         with pytest.raises(ValueError, match="pattern length"):
             decode_all(np.zeros((3, 1)), np.zeros((3, 4)), [np.ones(5)], np.eye(4), np.eye(2), np.eye(2), 0.1)
 
-    def test_distortion_zero_when_reconstruction_exact(self):
-        ens, dicts, op, Y, tm, pats, obs = self._small_setup()
-        n = ens.X.shape[1]
-        d = np.sum((ens.X - ens.X) ** 2, axis=1) / n
-        assert np.all(d == 0.0)
+    def test_distortion_is_mean_squared_error_of_x_hat(self):
+        ens, dicts, op, Y, tm, pats, obs = self._small_setup(sigma=0.05)
+        args = (obs, tm.G, [p.diag for p in pats], dicts.Psi, dicts.Phi, op.A, 0.05)
+        res = decode_all(*args, truth_X=ens.X, proj_truth=Y)
+        want = np.sum((ens.X - res.x_hat) ** 2, axis=1) / ens.X.shape[1]
+        assert np.any(want > 0) and same_bits(res.per_source_distortion, want)
+        assert decode_all(*args).per_source_distortion is None
 
 
 def path_instance(seed, q, p, mix, duplicate, frac):
@@ -414,7 +416,6 @@ def decode_inputs(draw):
     return dict(
         receiver_obs=obs, G=tm.G, patterns=[p.diag for p in pats], Psi=dicts.Psi, Phi=dicts.Phi, A=op.A,
         xi_spatial=default_xi(0.05, m2, N),
-        xi_temporal=draw(st.sampled_from([None, 0.02])),
         truth_X=None if truth == "none" else ens.X,
         proj_truth=Y if truth == "truth+projection" else None,
         debias=draw(st.booleans()),

@@ -12,6 +12,9 @@ change kept these outputs byte-identical:
   the criterion-4 m2 sweep (N=512, stage 1 only);
 - the calibration of the small config (N=n=32, m=8, 20 pilot trials):
   c and the plan in full precision, and a digest of its evaluation table;
+- at sigma 0 and at sigma 0.1, the (sq_err, support_exact, rel_err)
+  triples of 100 single-stage recoveries direct_recovery_trial(80, 256,
+  5, sigma, ...), the criterion-3 battery; sigma 0.1 takes default_xi;
 - at master seeds 20260808 and 12345, the analysis battery as perfbench's
   analysis-battery workload runs it: the 200 criterion-5 cascade reports,
   the 100 criterion-7 topologies (edges, G, G1, G2), the 10 RE estimates,
@@ -152,6 +155,10 @@ def main(argv=None) -> int:
     print(f"calibrate-small c {cal.c!r}")
     print(f"calibrate-small plan {cal.plan.m1},{cal.plan.m2} c_use {cal.plan.c_use!r}")
     print(f"calibrate-small evaluations {len(cal.evaluations)} {hashlib.sha256(table).hexdigest()}")
+
+    for sigma in (0.0, 0.1):
+        triples = [harness.direct_recovery_trial(80, 256, 5, sigma, Seed(20260808).child(3, i)) for i in range(100)]
+        print(f"recovery sigma {sigma:g} 100 trials {sha(triples)}")
 
     for master in (20260808, 12345):
         for name, value in analysis_digests(csnc, Seed(master)).items():
