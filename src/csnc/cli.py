@@ -20,6 +20,7 @@ every written file are the same with or without it.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -204,6 +205,8 @@ def dispatch(args, log=None) -> int:
         return EXIT_OK
 
     if verb == "re-estimate":
+        if args.sparsity is not None and args.sparsity > p.N:  # this bound needs N, so it waits for the config
+            return _flag_fault("sparsity", f"must be <= N = {p.N}")
         G = harness.build_trial(cfg, 0).transfers[0].G
         k = p.k2 if args.sparsity is None else args.sparsity
         est = re_analysis.estimate_re(G, k, args.alpha, args.supports, args.vectors, seed.child(9))
@@ -280,6 +283,8 @@ def main(argv=None) -> int:
             return _flag_fault(flag, f"must be >= {floor}")
     if args.verb == "calibrate" and not 0 < args.target <= 1:  # calibrate_c's target range
         return _flag_fault("target", "must lie in (0, 1]")
+    if args.verb == "re-estimate" and not 1 <= args.alpha < math.inf:  # ConeSpec's range; rejects NaN
+        return _flag_fault("alpha", "must be finite and >= 1")
     if args.verb == "sweep":
         try:
             args.values = _parse_values(args.values)

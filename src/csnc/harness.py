@@ -28,10 +28,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-# solve_lasso and debias_refit are called through the module, where tracers wrap them;
-# decode_spatial is no longer called here, but tracers still wrap it under this module's name
-from . import lasso
-from .lasso import DecodeResult, LassoProblem, decode_all, decode_spatial, default_xi  # noqa: F401
+from .lasso import DecodeResult, decode_all, decode_spatial, default_xi
 from .mathcore import Seed
 from .netsim import (
     ChannelModel,
@@ -401,10 +398,11 @@ def direct_recovery_trial(q: int, p: int, k: int, sigma: float, seed: Seed, debi
 
     Draws a k-sparse truth with magnitudes in [1, 2] and random signs, a
     direct Gaussian q x p transfer matrix, and AWGN at level sigma;
-    decodes by one LASSO solve on G, the spatial decode's design for an
-    all-on pattern and the identity dictionary.  The weight is
-    default_xi(sigma, q, p), or in the noiseless case a small
-    data-relative level.  Returns (sq_err, support_exact, rel_err).
+    decodes by decode_spatial on G, the spatial decode's design for an
+    all-on pattern and the identity dictionary, refitting the support
+    when debias.  The weight is default_xi(sigma, q, p), or in the
+    noiseless case a small data-relative level.  Returns (sq_err,
+    support_exact, rel_err).
     """
     rng = seed.child(0).rng()
     support = np.sort(rng.choice(p, size=k, replace=False))
@@ -413,15 +411,12 @@ def direct_recovery_trial(q: int, p: int, k: int, sigma: float, seed: Seed, debi
         mags = rng.uniform(1.0, 2.0, size=k)
         mu[support] = mags * (2.0 * rng.integers(0, 2, size=k) - 1.0)
     tm = direct_transfer_matrix(q, p, seed.child(1))
-    pat = OnOffPattern(np.ones(p), 1.0)
-    z = transmit(tm, pat, mu, ChannelModel(sigma), seed.child(2))
+    z = transmit(tm, OnOffPattern(np.ones(p)), mu, ChannelModel(sigma), seed.child(2))
     if sigma > 0:
         xi = default_xi(sigma, q, p)
     else:
         xi = max(1e-4 * np.max(np.abs(tm.G.T @ z)) / q, 1e-12)
-    mu_hat = lasso.solve_lasso(LassoProblem(z, tm.G, xi)).coef
-    if debias:
-        mu_hat = lasso.debias_refit(z, tm.G, mu_hat)
+    mu_hat, _ = decode_spatial(z, tm.G, xi, debias)
     sq_err = float(np.sum((mu - mu_hat) ** 2))
     rec = np.flatnonzero(mu_hat)
     support_exact = rec.size == k and np.array_equal(rec, support)
@@ -567,7 +562,7 @@ def export_results(records: list[TrialRecord], path: str) -> None:
         if records:
             frac = sum(r.success for r in records) / len(records)
             med = float(np.median([r.max_distortion for r in records]))
-            fh.write(f"overall,,,,,{_f(med)},,{_f(frac)},,,,,,\n")
+            fh.write(f"overall,,,,,{_f(med)},,,,{_f(frac)},,,,\n")
 
 
 def export_sweep(result: SweepResult, path: str) -> None:

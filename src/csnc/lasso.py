@@ -217,27 +217,20 @@ def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8) -
     return LassoSolution(coef, objective, kkt, steps, reached and kkt <= 10.0 * tol)
 
 
-def debias_refit(z, D, coef) -> np.ndarray:
-    """Least-squares refit of coef on its recovered support.
+def debias_refit(prob: LassoProblem, coef) -> np.ndarray:
+    """Least-squares refit of coef on its recovered support in prob.
 
     The nonzero coordinates are refit by unregularized least squares on
-    the corresponding design columns; the rest are set to exactly zero.
-    Removes the l1 shrinkage bias.
+    the corresponding columns of prob.G against prob.z; the rest are set
+    to exactly zero.  Removes the l1 shrinkage bias.  LassoProblem has
+    checked G and z already, and coef is a solve's length-p vector.
     Refit values below 1e-12 of the peak are numerical zeros (columns
     the least squares assigned only float dust) and are cleared.
     """
-    D = as_matrix(D, "design")
-    z = as_vector(z, "observations")
-    c = as_vector(coef, "coef")
-    return _refit(z, D, c)
-
-
-def _refit(z, D, coef) -> np.ndarray:
-    """debias_refit on inputs already validated, such as a solved LassoProblem's."""
     out = np.zeros_like(coef)
     S = np.flatnonzero(coef)
     if S.size:
-        sol, *_ = np.linalg.lstsq(D[:, S], z, rcond=None)
+        sol, *_ = np.linalg.lstsq(prob.G[:, S], prob.z, rcond=None)
         sol[np.abs(sol) < 1e-12 * np.max(np.abs(sol), initial=0.0)] = 0.0
         out[S] = sol
     return out
@@ -264,21 +257,20 @@ class DecodeResult:
     temporal_converged: bool = True
 
 
-def decode_spatial(z, D, basis, xi, debias=True):
-    """One decode stage: recover (coef, basis @ coef) from z ~ D coef.
+def decode_spatial(z, D, xi, debias=True):
+    """One decode stage: recover coef from z ~ D coef; returns (coef, solution).
 
     D is a prebuilt design, which decode_all builds once per design it
-    shares.  Stage 1 decodes the time slice Z^t on G diag(b_t) Psi with
-    basis Psi, giving (mu, y_hat); stage 2, decode_temporal, the same
-    function, decodes row i of y_hat on A Phi with basis Phi, giving
-    (theta, x_hat).  Solves the LASSO with q = len(z), refits the
-    recovered support by least squares when debias, and returns
-    (coef, basis @ coef, solution).
+    shares.  Stage 1 decodes the time slice Z^t on G diag(b_t) Psi,
+    giving mu; stage 2, decode_temporal, the same function, decodes row
+    i of y_hat on A Phi, giving theta; direct_recovery_trial decodes on
+    a bare transfer matrix.  Solves the LASSO with q = len(z) and, when
+    debias, refits the recovered support by debias_refit.  Both calls go
+    through this module's names solve_lasso and debias_refit.
     """
     prob = LassoProblem(z, D, xi)
     sol = solve_lasso(prob)
-    coef = _refit(prob.z, prob.G, sol.coef) if debias else sol.coef
-    return coef, basis @ coef, sol
+    return (debias_refit(prob, sol.coef) if debias else sol.coef), sol
 
 
 decode_temporal = decode_spatial
@@ -354,7 +346,8 @@ def decode_all(
         if t == 0 or not np.array_equal(b, patterns[t - 1]):
             GB = G * b[None, :]
             D = GB @ Psi
-        mu, yh, sol = decode_spatial(obs[:, t], D, Psi, xi_spatial, debias=debias)
+        mu, sol = decode_spatial(obs[:, t], D, xi_spatial, debias=debias)
+        yh = Psi @ mu
         mu_hat[:, t] = mu
         y_hat[t, :] = yh
         spatial_ok = spatial_ok and sol.converged
@@ -374,9 +367,9 @@ def decode_all(
                    for i in range(N)]
         D = as_matrix(A, "A") @ Phi
         for i, xi_i in enumerate(xis):
-            theta, xh, sol = decode_temporal(y_hat[:, i], D, Phi, xi_i, debias=debias)
+            theta, sol = decode_temporal(y_hat[:, i], D, xi_i, debias=debias)
             theta_hat[i] = theta
-            x_hat[i] = xh
+            x_hat[i] = Phi @ theta
             temporal_ok = temporal_ok and sol.converged
 
     distortion = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import Seed, as_matrix, as_vector, gaussian_matrix, rademacher_matrix
+from .mathcore import Seed, as_matrix, gaussian_matrix, rademacher_matrix
 from .sources import SourceEnsemble
 
 PROJECTION_FAMILIES = ("gaussian", "rademacher", "identity")
@@ -27,7 +27,6 @@ class ProjectionOperator:
     """m1 x n projection shared by all sources."""
 
     A: np.ndarray
-    family: str = "gaussian"
 
     def __post_init__(self):
         self.A = as_matrix(self.A, "A")
@@ -60,7 +59,7 @@ def make_projection(m1, n, family, seed: Seed) -> ProjectionOperator:
         A = np.eye(n)
     else:
         raise ValueError(f"unknown projection family {family!r}")
-    return ProjectionOperator(A, family)
+    return ProjectionOperator(A)
 
 
 def temporal_project(ens: SourceEnsemble, op: ProjectionOperator) -> np.ndarray:
@@ -73,10 +72,9 @@ def temporal_project(ens: SourceEnsemble, op: ProjectionOperator) -> np.ndarray:
 
 @dataclass
 class OnOffPattern:
-    """0/1 transmit mask over the N sources, drawn Bernoulli(prob)."""
+    """0/1 transmit mask over the N sources (draw_onoff draws it Bernoulli(prob))."""
 
     diag: np.ndarray
-    prob: float
 
     def __post_init__(self):
         self.diag = np.asarray(self.diag, dtype=np.float64)
@@ -95,7 +93,7 @@ def draw_onoff(N: int, prob: float, seed: Seed) -> OnOffPattern:
     if not (0.0 <= prob <= 1.0):
         raise ValueError("prob must lie in [0, 1]")
     diag = (seed.rng().random(N) < prob).astype(np.float64)
-    return OnOffPattern(diag, prob)
+    return OnOffPattern(diag)
 
 
 def expected_transmission_savings(pat: OnOffPattern) -> float:

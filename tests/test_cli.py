@@ -220,8 +220,12 @@ class TestAnalysisVerbs:
         (["calibrate", "--target", "-0.5"], "--target: must lie in (0, 1]"),
         (["calibrate", "--target", "nan"], "--target: must lie in (0, 1]"),
         (["calibrate", "--target", "1.5"], "--target: must lie in (0, 1]"),
+        (["re-estimate", "--alpha", "0.5"], "--alpha: must be finite and >= 1"),
+        (["re-estimate", "--alpha", "nan"], "--alpha: must be finite and >= 1"),
+        (["re-estimate", "--sparsity", "1000"], "--sparsity: must be <= N"),
     ], ids=["values-not-numbers", "values-descending", "few-pilot-trials", "no-sparsity", "negative-index",
-            "negative-target", "nan-target", "target-above-one"])
+            "negative-target", "nan-target", "target-above-one", "alpha-below-one", "nan-alpha",
+            "sparsity-above-n"])
     def test_flag_fault_is_named(self, cfg_path, capsys, argv, message):
         assert cli.main(argv[:1] + ["--config", cfg_path] + argv[1:]) == 2
         captured = capsys.readouterr()

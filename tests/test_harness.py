@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import csnc.harness
 import csnc.lasso
 from csnc.harness import (
     CASES,
@@ -169,11 +170,39 @@ class TestConvergenceFlag:
             return fn(prob, max_iter=1)
 
         def unconverged(*args, **kw):
-            coef, fit, sol = fn(*args, **kw)
-            return coef, fit, replace(sol, converged=False)
+            coef, sol = fn(*args, **kw)
+            return coef, replace(sol, converged=False)
 
         monkeypatch.setattr(csnc.lasso, capped, one_step if capped == "solve_lasso" else unconverged)
         assert run_trial(small_cfg(), 0).converged is False
+
+
+class TestTracedNames:
+    """Every decode reaches the module names a tracer wraps: lasso.debias_refit and harness.decode_spatial."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def counter(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counter)
+        return calls
+
+    @pytest.mark.parametrize("debias", [True, False])
+    def test_trial_refits_through_debias_refit(self, monkeypatch, debias):
+        calls = self.count_calls(monkeypatch, csnc.lasso, "debias_refit")
+        cfg = small_cfg(receivers=2, debias=debias)
+        run_trial(cfg, 0)
+        assert len(calls) == (cfg.receivers * (cfg.m1 + cfg.profile.N) if debias else 0)
+
+    def test_direct_recovery_decodes_through_harness_name(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, csnc.harness, "decode_spatial")
+        direct_recovery_trial(60, 128, 4, 0.0, Seed(77))
+        assert len(calls) == 1
 
 
 class TestDesignsBuiltOnce:
@@ -431,6 +460,12 @@ class TestExports:
         assert d00 == records[0].per_source_distortion[0, 0]
         tr = [r for r in rows if r[0] == "trial"]
         assert Fraction(tr[0][cols.index("c_use")]) == records[0].c_use
+        # the overall row: the success fraction under success, no support rate
+        assert rows[-1][0] == "overall" and len(rows[-1]) == len(cols)
+        overall = dict(zip(cols, rows[-1]))
+        assert float(overall["success"]) == sum(r.success for r in records) / len(records)
+        assert overall["support_recovery_rate"] == ""
+        assert float(overall["max_distortion"]) == float(np.median([r.max_distortion for r in records]))
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_cfg(trials=2)

@@ -142,7 +142,7 @@ class TestTransmit:
     def test_noiseless_identity(self):
         tm = direct_transfer_matrix(6, 6, Seed(0), family="identity")
         y = Seed(1).rng().normal(size=6)
-        z = transmit(tm, OnOffPattern(np.ones(6), 1.0), y, ChannelModel(0.0), Seed(2))
+        z = transmit(tm, OnOffPattern(np.ones(6)), y, ChannelModel(0.0), Seed(2))
         assert np.array_equal(z, y)
 
     def test_noiseless_matches_multiply_oracle(self):
@@ -155,7 +155,7 @@ class TestTransmit:
     def test_noise_variance(self):
         # zero signal, unit sigma: pooled sample variance near 1
         tm = direct_transfer_matrix(100, 4, Seed(7))
-        pat = OnOffPattern(np.ones(4), 1.0)
+        pat = OnOffPattern(np.ones(4))
         samples = np.concatenate(
             [
                 transmit(tm, pat, np.zeros(4), ChannelModel(1.0), Seed(8, i))
@@ -167,7 +167,7 @@ class TestTransmit:
 
     def test_noise_covariance_is_white(self):
         tm = direct_transfer_matrix(4, 4, Seed(9), family="identity")
-        pat = OnOffPattern(np.ones(4), 1.0)
+        pat = OnOffPattern(np.ones(4))
         sigma = 0.5
         Z = np.stack(
             [
@@ -204,7 +204,7 @@ class TestTransmit:
     def test_dimension_mismatch(self):
         tm = direct_transfer_matrix(5, 8, Seed(18))
         with pytest.raises(ValueError):
-            transmit(tm, OnOffPattern(np.ones(8), 1.0), np.ones(7), ChannelModel(0.0), Seed(0))
+            transmit(tm, OnOffPattern(np.ones(8)), np.ones(7), ChannelModel(0.0), Seed(0))
 
 
 class TestNetworkUses:

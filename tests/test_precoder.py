@@ -105,5 +105,5 @@ class TestSavings:
         assert abs(np.mean(vals) - 0.9) < 0.05
 
     def test_extremes(self):
-        assert expected_transmission_savings(OnOffPattern(np.ones(10), 1.0)) == 0.0
-        assert expected_transmission_savings(OnOffPattern(np.zeros(10), 0.0)) == 1.0
+        assert expected_transmission_savings(OnOffPattern(np.ones(10))) == 0.0
+        assert expected_transmission_savings(OnOffPattern(np.zeros(10))) == 1.0

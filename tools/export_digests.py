@@ -15,6 +15,8 @@ change kept these outputs byte-identical:
 - at sigma 0 and at sigma 0.1, the (sq_err, support_exact, rel_err)
   triples of 100 single-stage recoveries direct_recovery_trial(80, 256,
   5, sigma, ...), the criterion-3 battery; sigma 0.1 takes default_xi;
+- the same 100 recoveries at sigma 0.1 with debias=False, the branch
+  that skips the refit;
 - at master seeds 20260808 and 12345, the analysis battery as perfbench's
   analysis-battery workload runs it: the 200 criterion-5 cascade reports,
   the 100 criterion-7 topologies (edges, G, G1, G2), the 10 RE estimates,
@@ -159,6 +161,9 @@ def main(argv=None) -> int:
     for sigma in (0.0, 0.1):
         triples = [harness.direct_recovery_trial(80, 256, 5, sigma, Seed(20260808).child(3, i)) for i in range(100)]
         print(f"recovery sigma {sigma:g} 100 trials {sha(triples)}")
+    triples = [harness.direct_recovery_trial(80, 256, 5, 0.1, Seed(20260808).child(3, i), debias=False)
+               for i in range(100)]
+    print(f"recovery sigma 0.1 debias=False 100 trials {sha(triples)}")
 
     for master in (20260808, 12345):
         for name, value in analysis_digests(csnc, Seed(master)).items():
