@@ -4,7 +4,7 @@ Submodules:
     mathcore     seeded random matrices and singular values
     sources      doubly sparse ensembles and dictionaries
     precoder     temporal projection and on-off spatial pre-coding
-    netsim       topologies, transfer matrices, AWGN transmission
+    netsim       topology incidences, transfer matrices, AWGN transmission
     lasso        certified homotopy solver and two-stage decode
     re_analysis  restricted-eigenvalue estimation and cascade checks
     harness      end-to-end trials, budget calibration, sweeps, exports
@@ -28,16 +28,11 @@ from .sources import (
     verify_assumption,
 )
 from .precoder import (
-    OnOffPattern,
-    ProjectionOperator,
     draw_onoff,
-    expected_transmission_savings,
     make_projection,
     temporal_project,
 )
 from .netsim import (
-    ChannelModel,
-    NetworkTopology,
     TransferMatrix,
     build_example_topology,
     derive_transfer_matrix,

@@ -40,7 +40,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# integer flags per verb and their least values; a flag below its floor is a usage error named by the flag
+# integer flags per verb and their least values; a flag below its floor is a usage error named by the flag.
+# Every verb but budget also takes --threads, at least 1.
 _COUNT_FLAGS = {
     "re-estimate": (("sparsity", 1), ("supports", 1), ("vectors", 0)),
     "cascade-check": (("triples", 1), ("vectors", 1)),
@@ -277,8 +278,8 @@ def _flag_fault(flag: str, why: str) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, floor in _COUNT_FLAGS.get(args.verb, ()):
-        value = getattr(args, flag)
+    for flag, floor in _COUNT_FLAGS.get(args.verb, ()) + (("threads", 1),):
+        value = getattr(args, flag, None)
         if value is not None and value < floor:
             return _flag_fault(flag, f"must be >= {floor}")
     if args.verb == "calibrate" and not 0 < args.target <= 1:  # calibrate_c's target range

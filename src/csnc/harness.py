@@ -31,7 +31,6 @@ import numpy as np
 from .lasso import DecodeResult, decode_all, decode_spatial, default_xi
 from .mathcore import Seed
 from .netsim import (
-    ChannelModel,
     TransferMatrix,
     build_example_topology,
     derive_transfer_matrix,
@@ -39,7 +38,7 @@ from .netsim import (
     network_uses,
     transmit,
 )
-from .precoder import OnOffPattern, ProjectionOperator, draw_onoff, make_projection, temporal_project
+from .precoder import draw_onoff, make_projection, temporal_project
 from .sources import (
     DictionaryPair,
     SourceEnsemble,
@@ -141,14 +140,14 @@ def _make_transfer(cfg: ExperimentConfig, seed: Seed) -> TransferMatrix:
 
 @dataclass
 class Trial:
-    """Every random object of one trial, each drawn from its named substream."""
+    """Every random object of one trial, each drawn from its named substream, as bare arrays."""
 
     seed: Seed
     dicts: DictionaryPair
     ens: SourceEnsemble
-    op: ProjectionOperator
+    A: np.ndarray  # m1 x n projection
     Y: np.ndarray  # m1 x N, column i = A X_i
-    patterns: list[OnOffPattern]  # one per time index
+    B: np.ndarray  # m1 x N on-off matrix, row t = the 0/1 pattern b_t; one row repeated unless redraw_b_per_t
     transfers: list[TransferMatrix]  # one per receiver
     observations: list[np.ndarray]  # one m2 x m1 block per receiver, column t = Z^t
 
@@ -160,24 +159,23 @@ def build_trial(cfg: ExperimentConfig, index: int) -> Trial:
 
     dicts = make_dictionary_pair(cfg.kind_phi, cfg.kind_psi, p.n, p.N, seed.child(_DICTS))
     ens = generate_ensemble(p, dicts, (cfg.amp_lo, cfg.amp_hi), seed.child(_ENSEMBLE))
-    op = make_projection(cfg.m1, p.n, cfg.projection_family, seed.child(_PROJ))
-    Y = temporal_project(ens, op)
+    A = make_projection(cfg.m1, p.n, cfg.projection_family, seed.child(_PROJ))
+    Y = temporal_project(ens, A)
 
     prob = cfg.m2 / p.N if cfg.case == "case1-sparseB" else 1.0
     if cfg.redraw_b_per_t:
-        patterns = [draw_onoff(p.N, prob, seed.child(_PATTERN, t)) for t in range(cfg.m1)]
+        B = np.array([draw_onoff(p.N, prob, seed.child(_PATTERN, t)) for t in range(cfg.m1)])
     else:
-        patterns = [draw_onoff(p.N, prob, seed.child(_PATTERN, 0))] * cfg.m1
+        B = np.tile(draw_onoff(p.N, prob, seed.child(_PATTERN, 0)), (cfg.m1, 1))
 
-    ch = ChannelModel(cfg.sigma)
     transfers = [_make_transfer(cfg, seed.child(_TRANSFER, r)) for r in range(cfg.receivers)]
     observations = [
         np.column_stack(
-            [transmit(tm, patterns[t], Y[t], ch, seed.child(_NOISE, r, t)) for t in range(cfg.m1)]
+            [transmit(tm, B[t], Y[t], cfg.sigma, seed.child(_NOISE, r, t)) for t in range(cfg.m1)]
         )
         for r, tm in enumerate(transfers)
     ]
-    return Trial(seed, dicts, ens, op, Y, patterns, transfers, observations)
+    return Trial(seed, dicts, ens, A, Y, B, transfers, observations)
 
 
 def decode_trial(cfg: ExperimentConfig, trial: Trial) -> list[DecodeResult]:
@@ -186,10 +184,9 @@ def decode_trial(cfg: ExperimentConfig, trial: Trial) -> list[DecodeResult]:
     The stage-1 weight is default_xi of the channel noise level sigma.
     """
     xi_spatial = default_xi(cfg.sigma, cfg.m2, cfg.profile.N)
-    diags = [pat.diag for pat in trial.patterns]
     return [
         decode_all(
-            obs, tm.G, diags, trial.dicts.Psi, trial.dicts.Phi, trial.op.A, xi_spatial,
+            obs, tm.G, trial.B, trial.dicts.Psi, trial.dicts.Phi, trial.A, xi_spatial,
             truth_X=trial.ens.X, proj_truth=trial.Y, debias=cfg.debias, run_temporal=cfg.stage2,
         )
         for tm, obs in zip(trial.transfers, trial.observations)
@@ -299,6 +296,9 @@ class CalibrationError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
+CALIBRATION_RESOLUTION = 1.1  # calibrate_c bisects until the bracket ratio is at most this
+
+
 @dataclass
 class CalibrationResult:
     c: float
@@ -313,7 +313,6 @@ def calibrate_c(
     target: float = 0.9,
     c_lo: float = 1e-3,
     c_hi: float = 1e6,
-    resolution: float = 1.1,
     workers: int = 1,
 ) -> CalibrationResult:
     """Smallest budget constant whose suggested (m1, m2) hits the success target.
@@ -329,8 +328,8 @@ def calibrate_c(
     exactly on the boundary is not evidence of clearing it), and a
     passing batch must be confirmed by a second, disjoint batch (a
     perfect first batch is accepted outright).  Log-space bisection
-    stops once the bracket ratio is below `resolution`; if even c_hi
-    fails, a CalibrationError carrying the evaluation table is raised.
+    stops once the bracket ratio is below CALIBRATION_RESOLUTION; if
+    even c_hi fails, a CalibrationError carrying the evaluation table is raised.
     """
     if pilot_trials < 20:
         raise ValueError("need at least 20 pilot trials")
@@ -383,7 +382,7 @@ def calibrate_c(
         )
     lo, hi = c_lo, c_hi
     best_frac, best_plan = frac_hi, plan_hi
-    while hi / lo > resolution:
+    while hi / lo > CALIBRATION_RESOLUTION:
         mid = math.sqrt(lo * hi)
         frac, plan = success_fraction(mid)
         if passes(frac):
@@ -411,7 +410,7 @@ def direct_recovery_trial(q: int, p: int, k: int, sigma: float, seed: Seed, debi
         mags = rng.uniform(1.0, 2.0, size=k)
         mu[support] = mags * (2.0 * rng.integers(0, 2, size=k) - 1.0)
     tm = direct_transfer_matrix(q, p, seed.child(1))
-    z = transmit(tm, OnOffPattern(np.ones(p)), mu, ChannelModel(sigma), seed.child(2))
+    z = transmit(tm, np.ones(p), mu, sigma, seed.child(2))
     if sigma > 0:
         xi = default_xi(sigma, q, p)
     else:
@@ -518,7 +517,7 @@ def _f(x) -> str:
 
 
 _EXPORT_HEADER = """\
-# csnc trial export, schema 1
+# csnc trial export, schema 2
 # kind: detail = one (trial, receiver, source) distortion row;
 #       trial = per-trial aggregate; overall = whole-run aggregate
 # trial, receiver, source: integer indices (empty where not applicable)
@@ -530,6 +529,8 @@ _EXPORT_HEADER = """\
 # success: 1 if max_distortion <= allowed distortion
 # m1, m2: projection and combination counts used
 # seed_master, seed_stream: trial substream key
+# overall row: max_distortion is the median over trials of max_distortion and
+#       success the fraction of trials that succeeded; every other column is empty
 kind,trial,receiver,source,distortion,max_distortion,c_use,support_recovery_rate,stage1_median_sq_err,success,m1,m2,seed_master,seed_stream
 """
 

@@ -301,7 +301,8 @@ def decode_all(
     Args:
         receiver_obs: m2 x m1 matrix, column t = the observations Z^t.
         G: m2 x N transfer matrix of this receiver.
-        patterns: length-m1 sequence of 0/1 on-off diagonals (length N).
+        patterns: length-m1 sequence of 0/1 on-off diagonals (length N),
+            such as the m1 x N matrix whose row t is pattern t.
         Psi, Phi: spatial (N x N) and temporal (n x n) dictionaries.
         A: m1 x n projection matrix shared by all sources.
         xi_spatial: stage-1 regularization weight.

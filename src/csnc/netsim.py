@@ -16,26 +16,15 @@ regularization scale would drift with the topology size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .mathcore import Seed, as_matrix, as_vector, gaussian_matrix, rademacher_matrix
-from .precoder import OnOffPattern
 
 COEFF_FAMILIES = ("rademacher", "gaussian")
-
-
-@dataclass
-class NetworkTopology:
-    """Layered DAG: sources -> intermediates -> one receiver."""
-
-    node_count: int
-    edges: list[tuple[int, int]]
-    source_nodes: list[int]
-    intermediate_nodes: list[int]
-    receiver_nodes: list[int]
 
 
 @dataclass
@@ -62,78 +51,51 @@ class TransferMatrix:
         return self.G.shape[1]
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """AWGN with per-component noise standard deviation sigma."""
+def build_example_topology(N: int, m: int, connect_prob: float, seed: Seed) -> np.ndarray:
+    """First layer of a random two-layer topology: the m x N 0/1 incidence.
 
-    sigma: float
-
-    def __post_init__(self):
-        if not (self.sigma >= 0 and np.isfinite(self.sigma)):
-            raise ValueError("sigma must be finite and >= 0")
-
-
-def build_example_topology(N: int, m: int, connect_prob: float, seed: Seed) -> NetworkTopology:
-    """Random two-layer topology: N sources, m intermediates, one receiver.
-
-    Each (source, intermediate) edge is present independently with
-    probability connect_prob; connect_prob must be at least 1/3 so the
-    intermediates are high in-degree (expected in-degree >= N/3).  Every
-    intermediate feeds the receiver.
+    Entry (j, i) is 1 when source i feeds intermediate j, which happens
+    independently with probability connect_prob; connect_prob must be at
+    least 1/3 so the intermediates are high in-degree (expected in-degree
+    >= N/3).  Every intermediate feeds the receiver, so the second layer
+    needs no record.
     """
     if N < 3 or m < 1:
         raise ValueError("need N >= 3 and m >= 1")
     if not (1.0 / 3.0 <= connect_prob <= 1.0):  # also rejects NaN
         raise ValueError("connect_prob must lie in [1/3, 1]")
-    rng = seed.rng()
-    sources = list(range(N))
-    intermediates = list(range(N, N + m))
-    receiver = N + m
-    present = rng.random((m, N)) < connect_prob
-    rows, cols = np.nonzero(present)  # row-major: intermediate by intermediate
-    edges = list(zip(cols.tolist(), (N + rows).tolist()))
-    edges += [(N + j, receiver) for j in range(m)]
-    return NetworkTopology(N + m + 1, edges, sources, intermediates, [receiver])
+    return (seed.rng().random((m, N)) < connect_prob).astype(np.float64)
 
 
 def derive_transfer_matrix(
-    topo: NetworkTopology,
+    incidence,
     m2: int,
     coeff_family: str = "rademacher",
     seed: Seed = Seed(0),
 ) -> TransferMatrix:
     """Transfer matrix of a two-layer topology: G = G2 G1 (rescaled).
 
-    G1[j, i] carries the coding coefficient of edge (source i ->
-    intermediate j), zero when absent; coefficients come from
-    coeff_family.  G2 is a dense m2 x m Gaussian modeling random linear
-    coding through the second stage, so m2 <= m.  G is scaled by
-    1/sqrt(m * edge_density) to unit entry variance.
+    incidence is the m x N 0/1 first-layer matrix of
+    build_example_topology.  G1[j, i] carries the coding coefficient of
+    edge (source i -> intermediate j), zero when absent; coefficients
+    come from coeff_family.  G2 is a dense m2 x m Gaussian modeling
+    random linear coding through the second stage, so m2 <= m.  G is
+    scaled by 1/sqrt(m * edge_density) to unit entry variance.
     """
-    N = len(topo.source_nodes)
-    m = len(topo.intermediate_nodes)
+    mask = as_matrix(incidence, "incidence")
+    if not ((mask == 0.0) | (mask == 1.0)).all():
+        raise ValueError("incidence must be a 0/1 matrix")
+    m, N = mask.shape
     if m2 < 1 or m2 > m:
         raise ValueError("need 1 <= m2 <= m (the second stage cannot create information)")
     if coeff_family not in COEFF_FAMILIES:
         raise ValueError(f"unknown coefficient family {coeff_family!r}")
-    edges = np.asarray(topo.edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= topo.node_count):
-        raise ValueError("edges must join nodes 0 .. node_count - 1")
-    # position of every node in the source and intermediate lists, -1 elsewhere
-    src_index = np.full(topo.node_count, -1)
-    src_index[topo.source_nodes] = np.arange(N)
-    mid_index = np.full(topo.node_count, -1)
-    mid_index[topo.intermediate_nodes] = np.arange(m)
 
     if coeff_family == "rademacher":
         coeffs = rademacher_matrix(m, N, seed.child(1))
     else:
         coeffs = gaussian_matrix(m, N, 1.0, seed.child(1))
-    rows, cols = mid_index[edges[:, 1]], src_index[edges[:, 0]]
-    layer1 = (rows >= 0) & (cols >= 0)
-    n_edges = int(np.count_nonzero(layer1))
-    mask = np.zeros((m, N))
-    mask[rows[layer1], cols[layer1]] = 1.0
+    n_edges = int(np.count_nonzero(mask))
     G1 = coeffs * mask
     G2 = gaussian_matrix(m2, m, 1.0, seed.child(2))
     if n_edges:  # fold the normalization into the second stage: G = G2 G1 exactly
@@ -159,14 +121,19 @@ def direct_transfer_matrix(m2: int, N: int, seed: Seed, family: str = "gaussian"
     return TransferMatrix(G)
 
 
-def transmit(tm: TransferMatrix, pat: OnOffPattern, y, ch: ChannelModel, seed: Seed) -> np.ndarray:
-    """One network use: Z = G (pattern * y) + W, W i.i.d. normal(0, sigma^2)."""
+def transmit(tm: TransferMatrix, b, y, sigma: float, seed: Seed) -> np.ndarray:
+    """One network use: Z = G (b * y) + W, b the 0/1 on-off diagonal, W i.i.d. normal(0, sigma^2)."""
+    b = np.asarray(b, dtype=np.float64)
     v = as_vector(y, "y")
-    if v.shape[0] != tm.N or pat.diag.shape[0] != tm.N:
+    if b.ndim != 1 or not ((b == 0.0) | (b == 1.0)).all():  # NaN fails both comparisons
+        raise ValueError("pattern must be a 1-D 0/1 vector")
+    if v.shape[0] != tm.N or b.shape[0] != tm.N:
         raise ValueError("source vector and pattern must have length N")
-    z = tm.G @ (pat.diag * v)
-    if ch.sigma > 0:
-        z = z + seed.rng().normal(0.0, ch.sigma, size=tm.m2)
+    if not (sigma >= 0 and math.isfinite(sigma)):
+        raise ValueError("sigma must be finite and >= 0")
+    z = tm.G @ (b * v)
+    if sigma > 0:
+        z = z + seed.rng().normal(0.0, sigma, size=tm.m2)
     return z
 
 

@@ -223,9 +223,11 @@ class TestAnalysisVerbs:
         (["re-estimate", "--alpha", "0.5"], "--alpha: must be finite and >= 1"),
         (["re-estimate", "--alpha", "nan"], "--alpha: must be finite and >= 1"),
         (["re-estimate", "--sparsity", "1000"], "--sparsity: must be <= N"),
+        (["trial", "--threads", "0"], "--threads: must be >= 1"),
+        (["re-estimate", "--threads", "-4"], "--threads: must be >= 1"),
     ], ids=["values-not-numbers", "values-descending", "few-pilot-trials", "no-sparsity", "negative-index",
             "negative-target", "nan-target", "target-above-one", "alpha-below-one", "nan-alpha",
-            "sparsity-above-n"])
+            "sparsity-above-n", "no-threads", "negative-threads"])
     def test_flag_fault_is_named(self, cfg_path, capsys, argv, message):
         assert cli.main(argv[:1] + ["--config", cfg_path] + argv[1:]) == 2
         captured = capsys.readouterr()

@@ -156,6 +156,15 @@ class TestBuildTrial:
         assert np.array_equal(one.observations[0], two.observations[0])
         assert one.observations[0].shape == (20, 14)
 
+    @pytest.mark.parametrize("redraw", [True, False], ids=["redrawn", "shared"])
+    def test_trial_holds_projection_and_pattern_matrices(self, redraw):
+        cfg = small_cfg(case="case1-sparseB", redraw_b_per_t=redraw)
+        trial = build_trial(cfg, 0)
+        assert trial.A.shape == (cfg.m1, cfg.profile.n) and trial.B.shape == (cfg.m1, cfg.profile.N)
+        assert np.array_equal(trial.Y, trial.A @ trial.ens.X.T)
+        assert np.all((trial.B == 0.0) | (trial.B == 1.0))
+        assert all(np.array_equal(b, trial.B[0]) for b in trial.B) is not redraw
+
 
 class TestConvergenceFlag:
     def test_converged_trial(self):
@@ -232,7 +241,7 @@ class TestDesignsBuiltOnce:
 
     def test_all_on_stage1_solves_share_one_design(self, monkeypatch):
         cfg = small_cfg()
-        assert cfg.case == "case2-denseB" and cfg.redraw_b_per_t  # all-on, each pattern its own array
+        assert cfg.case == "case2-denseB" and cfg.redraw_b_per_t  # all-on, each row of B its own draw
         [(stage1, stage2)] = self.solve_designs(monkeypatch, cfg)
         assert all(D is stage1[0] for D in stage1)
         assert stage1[0] is not stage2[0]
@@ -397,6 +406,20 @@ class TestSweep:
         res = sweep(cfg, "sigma", [0.05, 0.1, 0.2, 0.4])
         assert res.slope == pytest.approx(1.0, abs=0.3)
 
+    @pytest.mark.parametrize("axis, values, fitted", [
+        ("m1", [6, 10], "median_max_distortion"),
+        ("k2", [1, 3], "median_stage1_sq_err"),
+        ("N", [24, 32], None),
+    ], ids=["m1", "k2", "N"])
+    def test_axis_fits_its_statistic(self, axis, values, fitted):
+        res = sweep(small_cfg(trials=2), axis, values)
+        assert [c.value for c in res.cells] == values and res.excluded == []
+        if fitted is None:
+            assert res.slope is None
+        else:
+            y = [math.log(getattr(c, fitted)) for c in res.cells]
+            assert res.slope == pytest.approx(np.polyfit([math.log(v) for v in values], y, 1)[0], rel=1e-12)
+
     def test_values_must_be_sorted(self):
         with pytest.raises(ValueError):
             sweep(small_cfg(trials=2), "sigma", [0.2, 0.1])
@@ -439,6 +462,7 @@ class TestExports:
     def test_empty_records_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         export_results([], path)
+        assert open(path).readline() == "# csnc trial export, schema 2\n"
         lines = [l for l in open(path) if not l.startswith("#")]
         assert len(lines) == 1
         assert lines[0].startswith("kind,trial,receiver,source")

@@ -19,8 +19,8 @@ from csnc.lasso import (
     solve_lasso,
 )
 from csnc.mathcore import Seed
-from csnc.netsim import ChannelModel, direct_transfer_matrix, transmit
-from csnc.precoder import OnOffPattern, draw_onoff, make_projection, temporal_project
+from csnc.netsim import direct_transfer_matrix, transmit
+from csnc.precoder import draw_onoff, make_projection, temporal_project
 from csnc.sources import SparsityProfile, generate_ensemble, make_dictionary, make_dictionary_pair
 
 import oracles
@@ -300,27 +300,27 @@ class TestDecodeAll:
         s = Seed(300, seed)
         dicts = make_dictionary_pair("random-orthonormal", "random-orthonormal", n, N, s.child(1))
         ens = generate_ensemble(SparsityProfile(N, n, k1, k2), dicts, (1.0, 2.0), s.child(2))
-        op = make_projection(m1, n, "gaussian", s.child(3))
-        Y = temporal_project(ens, op)
+        A = make_projection(m1, n, "gaussian", s.child(3))
+        Y = temporal_project(ens, A)
         tm = direct_transfer_matrix(m2, N, s.child(4))
         pats = [draw_onoff(N, 1.0, s.child(5, t)) for t in range(m1)]
         obs = np.column_stack(
-            [transmit(tm, pats[t], Y[t], ChannelModel(sigma), s.child(6, t)) for t in range(m1)]
+            [transmit(tm, pats[t], Y[t], sigma, s.child(6, t)) for t in range(m1)]
         )
-        return ens, dicts, op, Y, tm, pats, obs
+        return ens, dicts, A, Y, tm, pats, obs
 
     def test_noiseless_end_to_end(self):
-        ens, dicts, op, Y, tm, pats, obs = self._small_setup()
+        ens, dicts, A, Y, tm, pats, obs = self._small_setup()
         res = decode_all(
-            obs, tm.G, [p.diag for p in pats], dicts.Psi, dicts.Phi, op.A,
+            obs, tm.G, pats, dicts.Psi, dicts.Phi, A,
             xi_spatial=1e-7, truth_X=ens.X, proj_truth=Y,
         )
         assert np.all(res.per_source_distortion < 1e-4)
 
     def test_result_internal_consistency(self):
-        ens, dicts, op, Y, tm, pats, obs = self._small_setup(sigma=0.05)
+        ens, dicts, A, Y, tm, pats, obs = self._small_setup(sigma=0.05)
         res = decode_all(
-            obs, tm.G, [p.diag for p in pats], dicts.Psi, dicts.Phi, op.A,
+            obs, tm.G, pats, dicts.Psi, dicts.Phi, A,
             xi_spatial=0.05, truth_X=ens.X, proj_truth=Y,
         )
         # y_hat rows are Psi mu_hat columns; x_hat rows are Phi theta_hat rows
@@ -330,17 +330,17 @@ class TestDecodeAll:
             assert np.allclose(res.x_hat[i], dicts.Phi @ res.theta_hat[i], atol=1e-10)
 
     def test_per_source_projection_list_rejected(self):
-        ens, dicts, op, Y, tm, pats, obs = self._small_setup()
+        ens, dicts, A, Y, tm, pats, obs = self._small_setup()
         with pytest.raises(ValueError):
             decode_all(
-                obs, tm.G, [p.diag for p in pats], dicts.Psi, dicts.Phi, [op.A] * 24,
+                obs, tm.G, pats, dicts.Psi, dicts.Phi, [A] * 24,
                 xi_spatial=0.1, truth_X=ens.X,
             )
 
     def test_empty_when_m1_zero(self):
-        ens, dicts, op, Y, tm, pats, obs = self._small_setup()
+        ens, dicts, A, Y, tm, pats, obs = self._small_setup()
         res = decode_all(
-            obs[:, :0], tm.G, [], dicts.Psi, dicts.Phi, op.A, xi_spatial=0.1,
+            obs[:, :0], tm.G, [], dicts.Psi, dicts.Phi, A, xi_spatial=0.1,
         )
         assert res.mu_hat.shape[1] == 0 and res.y_hat.shape[0] == 0
         assert np.all(res.x_hat == 0.0)
@@ -350,8 +350,8 @@ class TestDecodeAll:
             decode_all(np.zeros((3, 1)), np.zeros((3, 4)), [np.ones(5)], np.eye(4), np.eye(2), np.eye(2), 0.1)
 
     def test_distortion_is_mean_squared_error_of_x_hat(self):
-        ens, dicts, op, Y, tm, pats, obs = self._small_setup(sigma=0.05)
-        args = (obs, tm.G, [p.diag for p in pats], dicts.Psi, dicts.Phi, op.A, 0.05)
+        ens, dicts, A, Y, tm, pats, obs = self._small_setup(sigma=0.05)
+        args = (obs, tm.G, pats, dicts.Psi, dicts.Phi, A, 0.05)
         res = decode_all(*args, truth_X=ens.X, proj_truth=Y)
         want = np.sum((ens.X - res.x_hat) ** 2, axis=1) / ens.X.shape[1]
         assert np.any(want > 0) and same_bits(res.per_source_distortion, want)
@@ -380,7 +380,7 @@ def path_instances(draw):
     )
 
 
-PATTERN_KINDS = ["all-on", "redrawn", "case1-sparseB", "shared", "runs"]
+PATTERN_KINDS = ["all-on", "redrawn", "case1-sparseB", "shared", "runs", "stacked"]
 
 
 @st.composite
@@ -390,7 +390,9 @@ def decode_inputs(draw):
     all-on: every pattern all ones (case 2), each its own array; redrawn:
     Bernoulli(1/2) per time index; case1-sparseB: Bernoulli(m2/N) per
     time index; shared: one Bernoulli(m2/N) pattern object reused at every
-    time index; runs: equal copies of two patterns in random runs.
+    time index; runs: equal copies of two patterns in random runs;
+    stacked: Bernoulli(1/2) per time index, as one m1 x N array whose
+    row t is pattern t, the form a Trial holds.
     """
     s = Seed(draw(st.integers(0, 2**32 - 1)))
     N, n = draw(st.integers(3, 14)), draw(st.integers(3, 12))
@@ -399,22 +401,24 @@ def decode_inputs(draw):
     dicts = make_dictionary_pair("random-orthonormal", "random-orthonormal", n, N, s.child(1))
     ens = generate_ensemble(SparsityProfile(N, n, draw(st.integers(0, n)), draw(st.integers(0, N))),
                             dicts, (1.0, 2.0), s.child(2))
-    op = make_projection(m1, n, "gaussian", s.child(3))
-    Y = temporal_project(ens, op)
+    A = make_projection(m1, n, "gaussian", s.child(3))
+    Y = temporal_project(ens, A)
     tm = direct_transfer_matrix(m2, N, s.child(4))
     if kind == "shared":
         pats = [draw_onoff(N, m2 / N, s.child(5, 0))] * m1
     elif kind == "runs":
-        two = [draw_onoff(N, 0.5, s.child(5, r)).diag for r in range(2)]
+        two = [draw_onoff(N, 0.5, s.child(5, r)) for r in range(2)]
         runs = draw(st.lists(st.integers(0, 1), min_size=m1, max_size=m1))
-        pats = [OnOffPattern(two[r].copy()) for r in runs]
+        pats = [two[r].copy() for r in runs]
     else:
-        prob = {"all-on": 1.0, "redrawn": 0.5, "case1-sparseB": m2 / N}[kind]
+        prob = {"all-on": 1.0, "redrawn": 0.5, "case1-sparseB": m2 / N, "stacked": 0.5}[kind]
         pats = [draw_onoff(N, prob, s.child(5, t)) for t in range(m1)]
-    obs = np.column_stack([transmit(tm, pats[t], Y[t], ChannelModel(sigma), s.child(6, t)) for t in range(m1)])
+        if kind == "stacked":
+            pats = np.array(pats)
+    obs = np.column_stack([transmit(tm, pats[t], Y[t], sigma, s.child(6, t)) for t in range(m1)])
     truth = draw(st.sampled_from(["none", "truth", "truth+projection"]))
     return dict(
-        receiver_obs=obs, G=tm.G, patterns=[p.diag for p in pats], Psi=dicts.Psi, Phi=dicts.Phi, A=op.A,
+        receiver_obs=obs, G=tm.G, patterns=pats, Psi=dicts.Psi, Phi=dicts.Phi, A=A,
         xi_spatial=default_xi(0.05, m2, N),
         truth_X=None if truth == "none" else ens.X,
         proj_truth=Y if truth == "truth+projection" else None,

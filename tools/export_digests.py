@@ -8,6 +8,9 @@ change kept these outputs byte-identical:
 
 - the export_results CSV of trials 0-3 of each of the eight export
   configs below, and of trials 0-15 of the acceptance config;
+- for each of the eight export configs, the drawn trials 0-3 themselves:
+  the ensemble X, the projection Y, and every receiver's transfer
+  matrix G and observation block;
 - the export_results CSV of the ten trial records of the m2=50 cell of
   the criterion-4 m2 sweep (N=512, stage 1 only);
 - the calibration of the small config (N=n=32, m=8, 20 pilot trials):
@@ -19,7 +22,8 @@ change kept these outputs byte-identical:
   that skips the refit;
 - at master seeds 20260808 and 12345, the analysis battery as perfbench's
   analysis-battery workload runs it: the 200 criterion-5 cascade reports,
-  the 100 criterion-7 topologies (edges, G, G1, G2), the 10 RE estimates,
+  the 100 criterion-7 topologies (G, G1, G2; G1's nonzeros are the
+  first-layer edges, since Rademacher coefficients are +-1), the 10 RE estimates,
   and a block of 600 sample_cone_vectors rows;
 - the number of LASSO solves all of the above made, and a digest of each
   solve's (path steps, converged) in call order, so a change that moves
@@ -57,6 +61,17 @@ def sha(parts) -> str:
     return h.hexdigest()
 
 
+def trial_digest(harness, cfg) -> str:
+    """Digest of trials 0-3 as build_trial draws them: X, Y, and each receiver's G and observations."""
+    parts = []
+    for i in range(4):
+        trial = harness.build_trial(cfg, i)
+        parts += [trial.ens.X.tobytes(), trial.Y.tobytes()]
+        for tm, obs in zip(trial.transfers, trial.observations):
+            parts += [tm.G.tobytes(), obs.tobytes()]
+    return sha(parts)
+
+
 def analysis_digests(csnc, master):
     """Digests of the analysis battery under one master seed, keyed by name."""
     re_analysis, netsim = csnc.re_analysis, csnc.netsim
@@ -75,7 +90,7 @@ def analysis_digests(csnc, master):
         topo = netsim.build_example_topology(200, 40, 1.0 / 3.0, master.child(7, i, 0))
         tm = netsim.derive_transfer_matrix(topo, 40, "rademacher", master.child(7, i, 1))
         G1, G2 = tm.decomposition
-        topologies += [topo.edges, tm.G.tobytes(), G1.tobytes(), G2.tobytes()]
+        topologies += [tm.G.tobytes(), G1.tobytes(), G2.tobytes()]
     estimates = []
     for i in range(10):  # direct 32 x 128 Gaussian designs, sparsity 4, 50 supports x 50 vectors
         tm = netsim.direct_transfer_matrix(32, 128, master.child(11, i, 0))
@@ -143,6 +158,8 @@ def main(argv=None) -> int:
     for name, cfg in configs.items():
         print(f"export {name} trials 0-3 {export_digest(harness, harness.run_trials(cfg, range(4)))}")
     print(f"export acceptance trials 0-15 {export_digest(harness, records)}")
+    for name, cfg in {"acceptance": acceptance, **configs}.items():
+        print(f"trial {name} trials 0-3 {trial_digest(harness, cfg)}")
 
     # the criterion-4 m2 sweep's cell m2=50, as harness.sweep runs it
     m2_cfg = Config(SparsityProfile(512, 16, 2, 2), m=32, m1=4, m2=50, sigma=0.1, D=0.01, trials=10,
