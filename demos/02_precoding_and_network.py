@@ -35,7 +35,7 @@ def main():
     Y = temporal_project(ens, A)
     print(f"projected {n}-sample sources down to m1={m1}: Y is {Y.shape[0]} x {Y.shape[1]}")
 
-    b = draw_onoff(N, m2 / N, seed.child(4))
+    b = draw_onoff(N, m2 / N, seed.child(4).rng())
     print(f"on-off mask at prob m2/N={m2/N:.3f}: {int(b.sum())} of {N} transmit "
           f"({1.0 - b.mean():.0%} stay silent)")
 
@@ -48,7 +48,7 @@ def main():
     print(f"transfer matrix G = G2 G1: {tm.G.shape}, rank {matrix_rank(tm.G)} "
           f"(G1 {G1.shape}, G2 {G2.shape})")
 
-    z = transmit(tm, b, Y[0], 0.1, seed.child(7))
+    z = transmit(tm, b, Y[0], 0.1, seed.child(7).rng())
     print(f"one network use at sigma=0.1 delivers {z.shape[0]} combinations, |z| up to {np.abs(z).max():.2f}")
     print(f"total scheme cost: {network_uses(m1, m2, m)} network uses (m1 m2 / m)")
 

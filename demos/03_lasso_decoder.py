@@ -45,7 +45,7 @@ def main():
 
     # spatial stage recovers the sparse coefficients behind masked mixtures; its
     # design is G diag(b) Psi, here G itself (all-on pattern, identity dictionary)
-    mu_hat, _ = decode_spatial(z, G, xi)
+    [mu_hat], _ = decode_spatial(z[:, None], G, [xi])
     print(f"spatial decode: support {np.flatnonzero(mu_hat).tolist()} vs truth {support.tolist()}, "
           f"rel err {np.linalg.norm(mu_hat - truth) / np.linalg.norm(truth):.2e}")
 
@@ -57,7 +57,7 @@ def main():
     theta[rng.choice(n, k1, replace=False)] = rng.uniform(1, 2, k1)
     x = Phi @ theta
     y = A @ x + rng.normal(0, 0.05, m1)
-    theta_hat, _ = decode_temporal(y, A @ Phi, default_xi(0.05, m1, n))
+    [theta_hat], _ = decode_temporal(y[:, None], A @ Phi, [default_xi(0.05, m1, n)])
     print(f"temporal decode rel err: {np.linalg.norm(Phi @ theta_hat - x) / np.linalg.norm(x):.2e}")
 
 

@@ -163,15 +163,16 @@ def build_trial(cfg: ExperimentConfig, index: int) -> Trial:
     Y = temporal_project(ens, A)
 
     prob = cfg.m2 / p.N if cfg.case == "case1-sparseB" else 1.0
+    rng = seed.rng()  # every per-time stream, reseated to it (Seed.reseat) just before its draw
     if cfg.redraw_b_per_t:
-        B = np.array([draw_onoff(p.N, prob, seed.child(_PATTERN, t)) for t in range(cfg.m1)])
+        B = np.array([draw_onoff(p.N, prob, seed.child(_PATTERN, t).reseat(rng)) for t in range(cfg.m1)])
     else:
-        B = np.tile(draw_onoff(p.N, prob, seed.child(_PATTERN, 0)), (cfg.m1, 1))
+        B = np.tile(draw_onoff(p.N, prob, seed.child(_PATTERN, 0).reseat(rng)), (cfg.m1, 1))
 
     transfers = [_make_transfer(cfg, seed.child(_TRANSFER, r)) for r in range(cfg.receivers)]
     observations = [
         np.column_stack(
-            [transmit(tm, B[t], Y[t], cfg.sigma, seed.child(_NOISE, r, t)) for t in range(cfg.m1)]
+            [transmit(tm, B[t], Y[t], cfg.sigma, seed.child(_NOISE, r, t).reseat(rng)) for t in range(cfg.m1)]
         )
         for r, tm in enumerate(transfers)
     ]
@@ -410,12 +411,12 @@ def direct_recovery_trial(q: int, p: int, k: int, sigma: float, seed: Seed, debi
         mags = rng.uniform(1.0, 2.0, size=k)
         mu[support] = mags * (2.0 * rng.integers(0, 2, size=k) - 1.0)
     tm = direct_transfer_matrix(q, p, seed.child(1))
-    z = transmit(tm, np.ones(p), mu, sigma, seed.child(2))
+    z = transmit(tm, np.ones(p), mu, sigma, seed.child(2).reseat(rng))
     if sigma > 0:
         xi = default_xi(sigma, q, p)
     else:
         xi = max(1e-4 * np.max(np.abs(tm.G.T @ z)) / q, 1e-12)
-    mu_hat, _ = decode_spatial(z, tm.G, xi, debias)
+    [mu_hat], _ = decode_spatial(z[:, None], tm.G, [xi], debias)
     sq_err = float(np.sum((mu - mu_hat) ** 2))
     rec = np.flatnonzero(mu_hat)
     support_exact = rec.size == k and np.array_equal(rec, support)

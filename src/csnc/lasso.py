@@ -5,16 +5,21 @@ The solver minimizes
     f(y) = (1/2q) ||z - G y||_2^2 + xi * ||y||_1
 
 exactly, by following its piecewise-linear solution path from the null
-solution down to the weight xi (homotopy).  A solution is reported
-converged only when the path reached xi AND the KKT stationarity
-residual is at most 10 * tol, which makes the convergence flag a
-checkable certificate.
+solution down to the weight xi (homotopy).  lasso_paths steps the paths
+of a whole block of problems that share one design in lockstep, with
+batched solves and products; a problem's path is the same to the bit
+whether it is stepped alone or in any block.  solve_lasso finishes one
+problem's path on its final active set and checks the result there: a
+solution is reported converged only when the path reached xi AND the
+KKT stationarity residual is at most 10 * tol, which makes the
+convergence flag a checkable certificate.  Every solution leaves
+through one solve_lasso call per problem.
 
 On top of the solver sit the two decoding stages of the pipeline: a
 spatial decode per time index (design G B Psi) and a temporal decode
-per source (design A Phi), one stage function on a prebuilt design,
-plus decode_all, which builds a receiver's designs once and runs both
-stages over its whole observation block.
+per source (design A Phi), one stage function that decodes a block of
+columns on one prebuilt design, plus decode_all, which builds a
+receiver's designs once and decodes each design's whole block at once.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from .mathcore import as_matrix, as_vector
 
-_GRAM_ROWS = 8  # Gram rows solve_lasso allocates first; it doubles them when the active set outgrows them
+_LOCKSTEP = 32  # most paths lasso_paths steps at once, which bounds its working set
 
 
 @dataclass
@@ -104,117 +109,280 @@ def default_xi(sigma_hat: float, q: int, p: int) -> float:
     return max(2.0 * sigma_hat * math.sqrt(2.0 * math.log(p) / q), 1e-12)
 
 
-def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8) -> LassoSolution:
-    """Exact solve by following the piecewise-linear solution path in lam.
+@dataclass
+class LassoPath:
+    """Where one homotopy path stopped: its active columns in join order, their signs and iterate."""
 
-    The path starts from the null solution at lam_max = max|c|, c being
-    the correlations (1/q) G^T z.  Along each piece the active columns
-    A, with signs s, hold their correlations c_A = (1/q) G_A^T (z - G y)
-    at exactly lam * s, so y_A moves along d = H_AA^{-1} s as lam falls,
-    with H = (1/q) G^T G, and every correlation moves along a = d H_A.
-    A piece ends at the nearest event: an inactive correlation reaches
+    active: np.ndarray
+    signs: np.ndarray
+    coef: np.ndarray  # coefficients of the active columns
+    steps: int
+    reached: bool  # the path reached xi
+
+
+def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
+    """Step the homotopy of every column of Z on the shared design D in lockstep; one LassoPath per column.
+
+    Column b's path starts from the null solution at lam_max = max|c|,
+    c being the correlations (1/q) D^T Z_b.  Along each piece the active
+    columns A, with signs s, hold their correlations at exactly lam * s,
+    so the coefficients move along d = H_AA^{-1} s as lam falls, with
+    H = (1/q) D^T D, and every correlation moves along a = d H_A.  A
+    piece ends at the nearest event: an inactive correlation reaches
     +-lam (the column joins) or an active coefficient reaches zero (it
-    leaves).  At xi the coefficients are solved once more on G_A, with
-    the final active set and sign pattern (Osborne, Presnell & Turlach
-    2000; Efron et al. 2004).
+    leaves and may not rejoin on the next step).  The first piece is the
+    zero-length step at which the column of largest |c_j| joins with
+    sign(c_j); it counts as a path step.  A path stops when it reaches
+    xis[b], after max_iter steps (a scalar or one cap per column), or at
+    a singular active system, where it keeps the iterate and step count
+    from before that step (Osborne, Presnell & Turlach 2000; Efron et
+    al. 2004).  A non-finite D or Z raises ValueError: it always makes
+    a correlation non-finite.
 
-    The path is stepped in Gram-row form: c is formed once, and the row
-    H_j = (1/q) G_j^T G of a column is formed when it joins and dropped
-    when it leaves, so a step costs one |A| x |A| solve and one
-    |A| x p product.  The first piece is the zero-length step at which
-    the column of largest |c_j| joins with sign(c_j); it counts as a
-    path step.  Only the events depend on how the path is stepped: the
-    finish on G_A is the same, so a certified solve that meets the same
-    events returns the same coefficients to the bit.
+    The columns are stepped in batches of at most _LOCKSTEP, each until
+    all its paths have stopped; the live paths of a batch are kept
+    compacted at the front of buffers reused for the whole call.  A step makes one
+    batched np.linalg.solve of the active blocks H_AA, and one batched
+    product d H_A over the Gram rows of the active columns, per
+    active-set size among the live paths: padding the smaller blocks
+    into one solve would change their bits.  The Gram row
+    H_j = (1/q) D_j^T D of a column is built the first time it joins any
+    path and is then shared.  The bounds of every event are arrays
+    over the live paths, one argmin finds each path's first event, and
+    one update moves every path's lam, correlations and coefficients.
+    No value of one path enters another's arithmetic, so a column's path
+    is the same to the bit in whatever batch it is stepped.
+    """
+    D, Z = np.asarray(D, dtype=np.float64), np.asarray(Z, dtype=np.float64)
+    if D.ndim != 2 or Z.ndim != 2 or D.size == 0 or Z.size == 0:
+        raise ValueError("need a nonempty 2-D design and observation block")
+    q, p = D.shape
+    nb = Z.shape[1]
+    xis = np.asarray(xis, dtype=np.float64)
+    caps = np.full(nb, max_iter, dtype=np.intp).tolist()
+    if Z.shape[0] != q:
+        raise ValueError("observation length must match design rows")
+    if xis.shape != (nb,) or not all(xi > 0 for xi in xis.tolist()):
+        raise ValueError("need one positive xi per column")
+    if min(caps) < 1:
+        raise ValueError("max_iter must be >= 1")
+
+    W = min(nb, _LOCKSTEP)
+    # live path i: X[i] = [lam | c | -c | coefficients of the active slots (zero past k)] moves along
+    # V[i] = [1 | a | -a | -d], so one update steps them all, and one subtraction from [lam | 1]
+    # gives the numerators lam -+ c and denominators 1 -+ a of the join bounds of both signs;
+    # active[i, :k] are the active columns in join order, and shut[i] is inf at them, 0 elsewhere
+    XV = np.empty((2, W, 1 + 3 * p))
+    X, V = XV
+    V[:, 0] = 1.0
+    lam, c2, coef = X[:, 0], X[:, 1:2 * p + 1], X[:, 2 * p + 1:]
+    a2, negd = V[:, 1:2 * p + 1], V[:, 2 * p + 1:]
+    ND, ratio = np.empty((2, W, 2 * p)), np.empty((W, 2 * p))
+    movable = np.empty((W, 2 * p), dtype=bool)
+    # bounds[i]: lam - xi, the join bounds of the p columns, then the crossing bounds of the active
+    # slots, so that one argmin finds the first event, and a tie goes to xi, then to a join
+    bounds = np.empty((W, 1 + 2 * p))
+    shut = np.empty((W, p))
+    active = np.empty((W, p), dtype=np.intp)
+    signs, xi = np.empty((W, p)), np.empty(W)
+    meta = np.empty((W, 4), dtype=np.intp)
+    COL, SIZE, BARRED, CAP = range(4)  # column of Z, k, column barred for this step or -1, max_iter
+    slot = np.full(p, -1, dtype=np.intp)  # Gram row of column j: rows[slot[j]], once it joined a path
+    rows = np.empty((min(p, 16), p))
+    built = 0
+    paths: list[LassoPath | None] = [None] * nb
+    nl = start = steps = 0  # live paths, next column to admit, steps the batch has taken
+    seen = -1  # the nl at which the views of the live paths were taken
+    soonest = None  # the smallest cap of a live path
+    barred = False  # whether a live path bars a column on this step
+
+    def join(i, j, sign):
+        nonlocal rows, built
+        if slot[j] < 0:
+            if built == rows.shape[0]:
+                rows = np.concatenate([rows, np.empty_like(rows)])[:p]
+            rows[built] = D[:, j] @ D / q
+            slot[j] = built
+            built += 1
+        n = meta[i, SIZE]
+        active[i, n], signs[i, n], shut[i, j], meta[i, SIZE] = j, sign, np.inf, n + 1
+
+    def retire(done, hit):
+        nonlocal nl, soonest
+        for i in done:
+            n = meta[i, SIZE]
+            paths[meta[i, COL]] = LassoPath(active[i, :n].copy(), signs[i, :n].copy(), coef[i, :n].copy(),
+                                            steps, i in hit)
+        keep = [i for i in range(nl) if i not in done]
+        nl = len(keep)
+        if nl and keep[-1] >= nl:
+            for buf in (X, V, shut, active, signs, xi, meta):
+                buf[:nl] = buf[keep]
+        soonest = min(meta[:nl, CAP].tolist(), default=None)
+
+    while True:
+        if nl == 0:  # admit the next batch of columns; each one's first piece joins its top column
+            if start == nb:
+                return paths
+            stop = min(nb, start + W)
+            c0 = np.matmul(D.T, Z.T[start:stop, :, None])[:, :, 0] / q
+            top = np.abs(c0)
+            lam0 = np.maximum.reduce(top, axis=1)
+            tops, xl = lam0.tolist(), xis[start:stop].tolist()
+            if not all(map(math.isfinite, tops)):  # a non-finite entry of D or Z always shows here
+                raise ValueError("design and observations must be finite")
+            go = []
+            for g in range(stop - start):
+                if tops[g] > xl[g]:
+                    go.append(g)
+                else:  # xi is at or above lam_max: the null solution, after no step
+                    paths[start + g] = LassoPath(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), 0, True)
+            if len(go) < stop - start:
+                c0, top, lam0 = c0[go], top[go], lam0[go]
+            nl, steps = len(go), 1
+            lam[:nl], xi[:nl] = lam0, [xl[g] for g in go]
+            c2[:nl, :p] = c0
+            np.negative(c0, out=c2[:nl, p:])
+            coef[:nl] = 0.0
+            shut[:nl] = 0.0
+            for i, j in enumerate(top.argmax(axis=1).tolist()):
+                meta[i] = start + go[i], 0, -1, caps[start + go[i]]
+                join(i, j, 1.0 if c0[i, j] > 0 else -1.0)
+            start = stop
+            soonest = min(meta[:nl, CAP].tolist(), default=None)
+            if soonest == 1:
+                retire({i for i, cap in enumerate(meta[:nl, CAP].tolist()) if cap == 1}, ())
+            if nl == 0:
+                continue
+        if nl != seen:  # views of the live paths
+            seen = nl
+            x, v, nd2, mv, r = X[:nl], V[:nl], ND[:, :nl], movable[:nl], ratio[:nl]
+            a, na, jb, gap, sizes = a2[:nl, :p], a2[:nl, p:], bounds[:nl, 1:p + 1], bounds[:nl, 0], meta[:nl, SIZE]
+
+        ks = sizes.tolist()
+        kmax, kmin = max(ks), min(ks)
+        if kmin < kmax:
+            negd[:nl, :kmax] = 0.0  # -d past a path's active set stays zero
+        failed = set()
+        for n in ((kmax,) if kmin == kmax else sorted(set(ks))):
+            idx = slice(0, nl) if kmin == kmax else np.flatnonzero(sizes == n)
+            A = active[idx, :n]
+            R = slot[A]
+            H, s = rows[R[:, :, None], A[:, None, :]], signs[idx, :n]
+            try:  # numpy solves a single system faster unstacked, to the same bits
+                d = np.linalg.solve(H, s[:, :, None])[:, :, 0] if len(s) > 1 else np.linalg.solve(H[0], s[0])[None]
+            except np.linalg.LinAlgError:  # the singular systems stop their paths; the rest solve as they would
+                d = np.zeros(s.shape)
+                for g, i in enumerate(np.arange(nl)[idx].tolist()):
+                    try:
+                        d[g] = np.linalg.solve(H[g], s[g])
+                    except np.linalg.LinAlgError:
+                        failed.add(i)
+            if kmin < kmax:
+                negd[idx, :n] = -d
+                a2[idx, :p] = np.matmul(d[:, None], rows[R])[:, 0]
+            else:  # one group: straight into the rows of the live paths
+                np.negative(d, out=negd[:nl, :n])
+                if nl > 1:
+                    np.matmul(d[:, None], rows[R], out=a[:, None])
+                else:
+                    np.matmul(d[0], rows[R[0]], out=a[0])
+        if failed:
+            retire(failed, ())
+            continue
+
+        np.negative(a, out=na)
+        # after a step g an inactive c_j - g a_j meets lam - g or -(lam - g);
+        # one moving (almost) parallel to the bound, such as a copy of an
+        # active column, never joins, and one past it by rounding joins at once
+        np.subtract(XV[:, :nl, :1], XV[:, :nl, 1:2 * p + 1], out=nd2)
+        np.greater(nd2[1], 1e-10, out=mv)
+        r.fill(np.inf)
+        np.divide(nd2[0], nd2[1], out=r, where=mv)
+        np.minimum(r[:, :p], r[:, p:], out=jb)
+        np.maximum(jb, shut[:nl], out=jb)  # past the bound by rounding: 0; active: inf
+        if barred:
+            b = np.flatnonzero(meta[:nl, BARRED] >= 0)
+            jb[b, meta[b, BARRED]] = np.inf
+            meta[:nl, BARRED] = -1
+            barred = False
+        # coefficient i crosses zero at -coef_i / d_i when that is positive
+        ca, nd, cb = coef[:nl, :kmax], negd[:nl, :kmax], bounds[:nl, p + 1:p + 1 + kmax]
+        cb.fill(np.inf)
+        np.divide(ca, nd, out=cb, where=ca * nd > 0)
+        np.subtract(x[:, 0], xi[:nl], out=gap)
+        bl = bounds[:nl, :p + 1 + kmax]
+        e = bl.argmin(axis=1)
+        step = np.minimum.reduce(bl, axis=1)
+        w = 2 * p + 1 + kmax
+        x[:, :w] -= step[:, None] * v[:, :w]
+        steps += 1
+
+        hit = set()
+        for i, y in enumerate(e.tolist()):
+            if y == 0:  # reached xi
+                hit.add(i)
+            elif y <= p:  # column y - 1 joins, with the sign of the bound it met
+                join(i, y - 1, 1.0 if r[i, y - 1] <= r[i, p + y - 1] else -1.0)
+            else:  # the coefficient in slot y - p - 1 reached zero: its column leaves
+                at, n = y - p - 1, ks[i]
+                meta[i, BARRED] = active[i, at]
+                shut[i, active[i, at]] = 0.0
+                active[i, at:n - 1] = active[i, at + 1:n]
+                signs[i, at:n - 1] = signs[i, at + 1:n]
+                coef[i, at:n - 1] = coef[i, at + 1:n]
+                coef[i, n - 1] = 0.0
+                meta[i, SIZE] = n - 1
+                barred = True
+        done = hit
+        if steps >= soonest:
+            done = hit | {i for i, cap in enumerate(meta[:nl, CAP].tolist()) if cap <= steps}
+        if done:
+            retire(done, hit)
+
+
+def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8,
+                path: LassoPath | None = None) -> LassoSolution:
+    """Exact solve: finish prob's homotopy path on G_A and certify the result.
+
+    path is prob's LassoPath from lasso_paths, which decode_spatial steps
+    for a whole block of problems on one design; without it, prob's path
+    is stepped alone, capped at max_iter steps.  A path that reached xi
+    is finished by solving once more on G_A, with its final active set
+    and signs, (G_A^T G_A) y_A = G_A^T z - q xi s; the finish depends on
+    the path only through its events, so a certified solve that meets
+    the same events returns the same coefficients to the bit.
 
     Args:
         prob: the instance to solve.
-        max_iter: cap on path steps.
+        max_iter: cap on path steps when path is None.
         tol: certificate level: converged means the path reached xi
             and kkt_check <= 10 * tol.
+        path: prob's stepped path, or None.
 
-    A solve that hits max_iter, meets a singular active system or fails
-    the certificate returns its iterate with converged=False; none of
-    these is an error.
+    The objective and the KKT residual are computed here, from one
+    residual, so every solution's certificate is checked in this call.
+    A path that hit its cap or a singular active system, a singular
+    finish and a failed certificate each return the iterate with
+    converged=False; none of these is an error.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    G, z, q, p, xi = prob.G, prob.z, prob.q, prob.p, prob.xi
-    coef = np.zeros(p)
-    # row 0 holds c and row 1 -c, so that both join bounds lam -+ c over 1 -+ a are one 2 x p expression
-    C = np.empty((2, p))
-    C[0] = G.T @ z / q
-    np.negative(C[0], out=C[1])
-    top = np.abs(C[0])
-    j = int(top.argmax())
-    lam = float(top[j])
-    reached = lam <= xi
-    # the first k entries: active columns in join order, their signs, coefficients and
-    # Gram rows H[i] = (1/q) G_j^T G; H starts small and doubles when full
-    active, signs, coef_a = np.empty(p, dtype=np.intp), np.empty(p), np.empty(p)
-    H = np.empty((_GRAM_ROWS, p))
-    k = steps = 0
-    if not reached:  # first piece: the top column j joins at lam_max itself
-        active[0], signs[0], coef_a[0] = j, 1.0 if C[0, j] > 0 else -1.0, 0.0
-        H[0] = G[:, j] @ G / q
-        k = steps = 1
-    Ad = np.empty((2, p))  # a and -a
-    num, den, ratio = np.empty((2, p)), np.empty((2, p)), np.empty((2, p))
-    movable = np.empty((2, p), dtype=bool)
-    join = np.empty(p)
-    barred = None  # the column that just left may not rejoin on the next step
-    try:
-        while not reached and steps < max_iter:
-            A, ca = active[:k], coef_a[:k]
-            d = np.linalg.solve(H[:k, A], signs[:k])
-            np.matmul(d, H[:k], out=Ad[0])
-            np.negative(Ad[0], out=Ad[1])
-            # after a step g an inactive c_j - g a_j meets lam - g or -(lam - g);
-            # one moving (almost) parallel to the bound, such as a copy of an
-            # active column, never joins, and one past it by rounding joins at once
-            np.subtract(lam, C, out=num)
-            np.subtract(1.0, Ad, out=den)
-            np.greater(den, 1e-10, out=movable)
-            ratio.fill(np.inf)
-            np.divide(num, den, out=ratio, where=movable)
-            np.maximum(ratio.min(axis=0, out=join), 0.0, out=join)
-            join[A] = np.inf
-            if barred is not None:
-                join[barred] = np.inf
-            j = int(join.argmin())
-            cross = np.divide(-ca, d, out=np.full(k, np.inf), where=ca * d < 0)
-            end = lam - xi
-            step = min(end, join[j], cross.min(initial=np.inf))
-            ca += step * d
-            C -= step * Ad
-            lam -= step
-            steps += 1
-            barred = None
-            if step == end:
-                reached = True
-            elif step == join[j]:
-                if k == H.shape[0]:
-                    H = np.concatenate([H, np.empty_like(H)])
-                H[k] = G[:, j] @ G / q
-                active[k], signs[k], coef_a[k] = j, 1.0 if ratio[0, j] <= ratio[1, j] else -1.0, 0.0
-                k += 1
-            else:
-                i = int(cross.argmin())
-                barred = int(active[i])
-                for buf in (active, signs, coef_a, H):
-                    buf[i:k - 1] = buf[i + 1:k]
-                k -= 1
-        if reached:
-            GA = G[:, active[:k]]
-            coef[active[:k]] = np.linalg.solve(GA.T @ GA, GA.T @ z - q * xi * signs[:k])
-    except np.linalg.LinAlgError:
-        reached = False
+    if path is None:
+        [path] = lasso_paths(prob.G, prob.z[:, None], [prob.xi], max_iter)
+    G, z, xi, A = prob.G, prob.z, prob.xi, path.active
+    coef = np.zeros(prob.p)
+    reached = path.reached
+    if reached:
+        GA = G[:, A]
+        try:
+            coef[A] = np.linalg.solve(GA.T @ GA, GA.T @ z - prob.q * xi * path.signs)
+        except np.linalg.LinAlgError:
+            reached = False
     if not reached:
-        coef[active[:k]] = coef_a[:k]
+        coef[A] = path.coef
     objective, kkt = _scores(prob, coef)
-    return LassoSolution(coef, objective, kkt, steps, reached and kkt <= 10.0 * tol)
+    return LassoSolution(coef, objective, kkt, path.steps, reached and kkt <= 10.0 * tol)
 
 
 def debias_refit(prob: LassoProblem, coef) -> np.ndarray:
@@ -257,20 +425,30 @@ class DecodeResult:
     temporal_converged: bool = True
 
 
-def decode_spatial(z, D, xi, debias=True):
-    """One decode stage: recover coef from z ~ D coef; returns (coef, solution).
+def decode_spatial(Z, D, xis, debias=True):
+    """One decode stage: recover each column of the q x B block Z on the design D.
 
-    D is a prebuilt design, which decode_all builds once per design it
-    shares.  Stage 1 decodes the time slice Z^t on G diag(b_t) Psi,
-    giving mu; stage 2, decode_temporal, the same function, decodes row
-    i of y_hat on A Phi, giving theta; direct_recovery_trial decodes on
-    a bare transfer matrix.  Solves the LASSO with q = len(z) and, when
-    debias, refits the recovered support by debias_refit.  Both calls go
-    through this module's names solve_lasso and debias_refit.
+    Returns (coefs, solutions): row b of the B x p array coefs is
+    recovered from column Z[:, b] with weight xis[b], and solutions[b]
+    is its LassoSolution.  D is a prebuilt design shared by the whole
+    block: stage 1 decodes the time slices Z^t of a run of equal on-off
+    patterns on G diag(b_t) Psi, giving mu; stage 2, decode_temporal,
+    the same function, decodes the columns y_hat_i of the stage-1
+    estimate on A Phi, giving theta; direct_recovery_trial decodes one
+    column on a bare transfer matrix.  lasso_paths steps the block's
+    paths together; then, column by column, solve_lasso finishes and
+    certifies each path and, when debias, debias_refit refits its
+    recovered support, both called through this module's names.
     """
-    prob = LassoProblem(z, D, xi)
-    sol = solve_lasso(prob)
-    return (debias_refit(prob, sol.coef) if debias else sol.coef), sol
+    Z = np.asarray(Z, dtype=np.float64)
+    paths = lasso_paths(D, Z, xis)
+    coefs, sols = np.empty((len(paths), np.shape(D)[1])), []
+    for b, (xi, path) in enumerate(zip(xis, paths)):
+        prob = LassoProblem(Z[:, b], D, xi)
+        sol = solve_lasso(prob, path=path)
+        coefs[b] = debias_refit(prob, sol.coef) if debias else sol.coef
+        sols.append(sol)
+    return coefs, sols
 
 
 decode_temporal = decode_spatial
@@ -291,9 +469,10 @@ def decode_all(
 ):
     """Run both decoder stages over an m2 x m1 receiver observation block.
 
-    Each design is built once: the stage-1 design G diag(b_t) Psi only
-    when pattern t differs from pattern t-1, and the stage-2 design
-    A Phi once for all N sources.  The stage-2 weight of source i is
+    Each design is built once and decodes its whole block in one
+    decode_spatial call: the stage-1 design G diag(b_t) Psi once per run
+    of equal consecutive patterns, and the stage-2 design A Phi once for
+    all N sources.  The stage-2 weight of source i is
     default_xi of a stage-1 error level: rms(y_hat_i - A X_i) when
     truth_X is given, else the median stage-1 fit residual
     rms(Z^t - G diag(b_t) y_hat^t), shared by all sources.
@@ -343,17 +522,18 @@ def decode_all(
     y_hat = np.zeros((m1, N))
     spatial_ok = True
     fit_rms = []
-    for t, b in enumerate(patterns):
-        if t == 0 or not np.array_equal(b, patterns[t - 1]):
-            GB = G * b[None, :]
-            D = GB @ Psi
-        mu, sol = decode_spatial(obs[:, t], D, xi_spatial, debias=debias)
-        yh = Psi @ mu
-        mu_hat[:, t] = mu
-        y_hat[t, :] = yh
-        spatial_ok = spatial_ok and sol.converged
-        if fallback:
-            fit_rms.append(np.linalg.norm(obs[:, t] - GB @ yh) / math.sqrt(max(1, obs.shape[0])))
+    # a run of equal patterns shares one design, decoded as one block
+    starts = [t for t in range(m1) if t == 0 or not np.array_equal(patterns[t], patterns[t - 1])]
+    for t0, t1 in zip(starts, starts[1:] + [m1]):
+        GB = G * patterns[t0][None, :]
+        mus, sols = decode_spatial(obs[:, t0:t1], GB @ Psi, [xi_spatial] * (t1 - t0), debias=debias)
+        for t, mu, sol in zip(range(t0, t1), mus, sols):
+            yh = Psi @ mu
+            mu_hat[:, t] = mu
+            y_hat[t, :] = yh
+            spatial_ok = spatial_ok and sol.converged
+            if fallback:
+                fit_rms.append(np.linalg.norm(obs[:, t] - GB @ yh) / math.sqrt(max(1, obs.shape[0])))
 
     theta_hat = np.zeros((N, n))
     x_hat = np.zeros((N, n))
@@ -366,12 +546,10 @@ def decode_all(
                 proj_truth = A @ truth_X.T
             xis = [default_xi(np.linalg.norm(y_hat[:, i] - proj_truth[:, i]) / math.sqrt(m1), m1, n)
                    for i in range(N)]
-        D = as_matrix(A, "A") @ Phi
-        for i, xi_i in enumerate(xis):
-            theta, sol = decode_temporal(y_hat[:, i], D, xi_i, debias=debias)
-            theta_hat[i] = theta
+        theta_hat, sols = decode_temporal(y_hat, as_matrix(A, "A") @ Phi, xis, debias=debias)
+        for i, theta in enumerate(theta_hat):
             x_hat[i] = Phi @ theta
-            temporal_ok = temporal_ok and sol.converged
+        temporal_ok = all(sol.converged for sol in sols)
 
     distortion = None
     if truth_X is not None:

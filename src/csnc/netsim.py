@@ -121,8 +121,11 @@ def direct_transfer_matrix(m2: int, N: int, seed: Seed, family: str = "gaussian"
     return TransferMatrix(G)
 
 
-def transmit(tm: TransferMatrix, b, y, sigma: float, seed: Seed) -> np.ndarray:
-    """One network use: Z = G (b * y) + W, b the 0/1 on-off diagonal, W i.i.d. normal(0, sigma^2)."""
+def transmit(tm: TransferMatrix, b, y, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """One network use: Z = G (b * y) + W, b the 0/1 on-off diagonal, W i.i.d. normal(0, sigma^2) from rng.
+
+    Nothing is drawn when sigma = 0.
+    """
     b = np.asarray(b, dtype=np.float64)
     v = as_vector(y, "y")
     if b.ndim != 1 or not ((b == 0.0) | (b == 1.0)).all():  # NaN fails both comparisons
@@ -133,7 +136,7 @@ def transmit(tm: TransferMatrix, b, y, sigma: float, seed: Seed) -> np.ndarray:
         raise ValueError("sigma must be finite and >= 0")
     z = tm.G @ (b * v)
     if sigma > 0:
-        z = z + seed.rng().normal(0.0, sigma, size=tm.m2)
+        z = z + rng.normal(0.0, sigma, size=tm.m2)
     return z
 
 

@@ -49,10 +49,10 @@ def temporal_project(ens: SourceEnsemble, A) -> np.ndarray:
     return A @ X.T
 
 
-def draw_onoff(N: int, prob: float, seed: Seed) -> np.ndarray:
-    """i.i.d. Bernoulli(prob) on-off diagonal over N sources, as a 0/1 float vector."""
+def draw_onoff(N: int, prob: float, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. Bernoulli(prob) on-off diagonal over N sources, as a 0/1 float vector drawn from rng."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if not (0.0 <= prob <= 1.0):
         raise ValueError("prob must lie in [0, 1]")
-    return (seed.rng().random(N) < prob).astype(np.float64)
+    return (rng.random(N) < prob).astype(np.float64)

@@ -161,7 +161,8 @@ def homotopy_path(z, G, xi, max_iter=10_000, tol=1e-8):
     (a column joins, a coefficient crosses zero) or to xi, then solve
     once more on the final active set.  Kept as the per-step reference
     the solver must match bit for bit.  Returns (coef, steps, drops,
-    converged).
+    converged, active), active being the final active columns in join
+    order.
     """
     q, p = G.shape
     coef = np.zeros(p)
@@ -212,7 +213,7 @@ def homotopy_path(z, G, xi, max_iter=10_000, tol=1e-8):
     on = coef != 0
     kkt = max(float(np.max(np.abs(g[on] + xi * np.sign(coef[on])), initial=0.0)),
               float(np.max(np.maximum(np.abs(g[~on]) - xi, 0.0), initial=0.0)))
-    return coef, steps, drops, reached and kkt <= 10.0 * tol
+    return coef, steps, drops, reached and kkt <= 10.0 * tol, active.tolist()
 
 
 def refit(z, D, coef):
@@ -247,7 +248,7 @@ def decode_loop(receiver_obs, G, patterns, Psi, Phi, A, xi_spatial, truth_X=None
     for t in range(m1):
         b = np.asarray(patterns[t], dtype=float)
         D = (G * b[None, :]) @ Psi
-        mu, _, _, ok = homotopy_path(obs[:, t], D, xi_spatial)
+        mu, _, _, ok, _ = homotopy_path(obs[:, t], D, xi_spatial)
         if debias:
             mu = refit(obs[:, t], D, mu)
         mu_hat[:, t], y_hat[t] = mu, Psi @ mu
@@ -269,7 +270,7 @@ def decode_loop(receiver_obs, G, patterns, Psi, Phi, A, xi_spatial, truth_X=None
             else:
                 xi_i = weight(float(np.median(fit_rms)), m1, n)
             D = A @ Phi
-            theta, _, _, ok = homotopy_path(y_hat[:, i], D, xi_i)
+            theta, _, _, ok, _ = homotopy_path(y_hat[:, i], D, xi_i)
             if debias:
                 theta = refit(y_hat[:, i], D, theta)
             theta_hat[i], x_hat[i] = theta, Phi @ theta

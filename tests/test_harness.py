@@ -170,19 +170,20 @@ class TestConvergenceFlag:
     def test_converged_trial(self):
         assert run_trial(small_cfg(), 0).converged is True
 
-    @pytest.mark.parametrize("capped", ["solve_lasso", "decode_spatial", "decode_temporal"])
+    @pytest.mark.parametrize("capped", ["lasso_paths", "decode_spatial", "decode_temporal"])
     def test_capped_solver_is_flagged(self, monkeypatch, capped):
-        # solve_lasso is capped at one path step; a decode stage hands back its solutions marked unconverged
+        # every path is capped at one step where paths are stepped; a decode stage hands back
+        # its block's solutions marked unconverged
         fn = getattr(csnc.lasso, capped)
 
-        def one_step(prob):
-            return fn(prob, max_iter=1)
+        def one_step(D, Z, xis, max_iter=10_000):
+            return fn(D, Z, xis, max_iter=1)
 
         def unconverged(*args, **kw):
-            coef, sol = fn(*args, **kw)
-            return coef, replace(sol, converged=False)
+            coefs, sols = fn(*args, **kw)
+            return coefs, [replace(sol, converged=False) for sol in sols]
 
-        monkeypatch.setattr(csnc.lasso, capped, one_step if capped == "solve_lasso" else unconverged)
+        monkeypatch.setattr(csnc.lasso, capped, one_step if capped == "lasso_paths" else unconverged)
         assert run_trial(small_cfg(), 0).converged is False
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import csnc.harness
 import csnc.lasso
 from csnc.harness import ExperimentConfig, run_trial
 from csnc.lasso import (
-    _GRAM_ROWS,
     LassoProblem,
     debias_refit,
     decode_all,
@@ -16,6 +16,7 @@ from csnc.lasso import (
     decode_temporal,
     default_xi,
     kkt_check,
+    lasso_paths,
     solve_lasso,
 )
 from csnc.mathcore import Seed
@@ -223,7 +224,7 @@ class TestDecodeSpatial:
             y = mu.copy()  # identity dictionary
             z = G @ y
             xi = max(1e-4 * np.max(np.abs(G.T @ z)) / q, 1e-12)
-            mu_hat, _ = decode_spatial(z, G, xi)
+            [mu_hat], _ = decode_spatial(z[:, None], G, [xi])
             if np.array_equal(np.flatnonzero(mu_hat), sup) and (
                 np.linalg.norm(mu_hat - y) / np.linalg.norm(y) < 1e-3
             ):
@@ -237,7 +238,7 @@ class TestDecodeSpatial:
         G = rng.normal(size=(m2, N))
         Z = rng.normal(size=m2)
         xi = 0.3
-        mu, sol = decode_spatial(Z, G, xi, debias=False)
+        [mu], _ = decode_spatial(Z[:, None], G, [xi], debias=False)
         assert np.sum(np.abs(mu)) <= float(Z @ Z) / (2 * m2 * xi) + 1e-9
 
     def test_case2_design_equals_g_psi(self):
@@ -271,7 +272,7 @@ class TestDecodeTemporal:
             x = Phi @ theta
             y = A @ x
             xi = max(1e-4 * np.max(np.abs((A @ Phi).T @ y)) / m1, 1e-12)
-            theta_hat, _ = decode_temporal(y, A @ Phi, xi)
+            [theta_hat], _ = decode_temporal(y[:, None], A @ Phi, [xi])
             if np.array_equal(np.flatnonzero(theta_hat), sup) and (
                 np.linalg.norm(Phi @ theta_hat - x) / np.linalg.norm(x) < 1e-3
             ):
@@ -285,13 +286,13 @@ class TestDecodeTemporal:
         A = orthonormal_design(n, rng)
         y = rng.normal(size=n) * 2
         xi = 0.15
-        theta, _ = decode_temporal(y, A, xi, debias=False)  # design A I = A
+        [theta], _ = decode_temporal(y[:, None], A, [xi], debias=False)  # design A I = A
         b = A.T @ y / n
         assert np.allclose(theta, np.sign(b) * np.maximum(np.abs(b) - xi, 0), atol=1e-8)
 
     def test_zero_input_row(self):
         A = Seed(5).rng().normal(size=(8, 12))
-        theta, _ = decode_temporal(np.zeros(8), A, 0.1)  # design A I = A
+        [theta], _ = decode_temporal(np.zeros((8, 1)), A, [0.1])  # design A I = A
         assert np.all(theta == 0.0)
 
 
@@ -303,9 +304,9 @@ class TestDecodeAll:
         A = make_projection(m1, n, "gaussian", s.child(3))
         Y = temporal_project(ens, A)
         tm = direct_transfer_matrix(m2, N, s.child(4))
-        pats = [draw_onoff(N, 1.0, s.child(5, t)) for t in range(m1)]
+        pats = [draw_onoff(N, 1.0, s.child(5, t).rng()) for t in range(m1)]
         obs = np.column_stack(
-            [transmit(tm, pats[t], Y[t], sigma, s.child(6, t)) for t in range(m1)]
+            [transmit(tm, pats[t], Y[t], sigma, s.child(6, t).rng()) for t in range(m1)]
         )
         return ens, dicts, A, Y, tm, pats, obs
 
@@ -405,17 +406,17 @@ def decode_inputs(draw):
     Y = temporal_project(ens, A)
     tm = direct_transfer_matrix(m2, N, s.child(4))
     if kind == "shared":
-        pats = [draw_onoff(N, m2 / N, s.child(5, 0))] * m1
+        pats = [draw_onoff(N, m2 / N, s.child(5, 0).rng())] * m1
     elif kind == "runs":
-        two = [draw_onoff(N, 0.5, s.child(5, r)) for r in range(2)]
+        two = [draw_onoff(N, 0.5, s.child(5, r).rng()) for r in range(2)]
         runs = draw(st.lists(st.integers(0, 1), min_size=m1, max_size=m1))
         pats = [two[r].copy() for r in runs]
     else:
         prob = {"all-on": 1.0, "redrawn": 0.5, "case1-sparseB": m2 / N, "stacked": 0.5}[kind]
-        pats = [draw_onoff(N, prob, s.child(5, t)) for t in range(m1)]
+        pats = [draw_onoff(N, prob, s.child(5, t).rng()) for t in range(m1)]
         if kind == "stacked":
             pats = np.array(pats)
-    obs = np.column_stack([transmit(tm, pats[t], Y[t], sigma, s.child(6, t)) for t in range(m1)])
+    obs = np.column_stack([transmit(tm, pats[t], Y[t], sigma, s.child(6, t).rng()) for t in range(m1)])
     truth = draw(st.sampled_from(["none", "truth", "truth+projection"]))
     return dict(
         receiver_obs=obs, G=tm.G, patterns=pats, Psi=dicts.Psi, Phi=dicts.Phi, A=A,
@@ -450,7 +451,7 @@ def assert_matches_reference(z, G, xi, duplicate=False, max_iter=10_000):
     never scored, agrees to 1e-12 of its peak.
     """
     sol = solve_lasso(LassoProblem(z, G, xi), max_iter=max_iter)
-    coef, steps, drops, converged = oracles.homotopy_path(z, G, xi, max_iter=max_iter)
+    coef, steps, drops, converged, _ = oracles.homotopy_path(z, G, xi, max_iter=max_iter)
     assert sol.converged == converged
     got, ref = folded(sol.coef, duplicate), folded(coef, duplicate)
     if converged:
@@ -510,11 +511,12 @@ class TestMatchesPerProblemLoop:
             dup_steps += steps if seed % 2 == 0 else 0
         assert drops > 0 and dup_steps > 0
 
-    def test_active_set_outgrows_gram_rows_and_drops_inside_them(self):
+    def test_drops_inside_an_active_set_longer_than_8(self):
+        # a drop before the last slot of a long active list shifts every later slot down
         z, G, xi, _ = path_instance(0, 16, 30, 0.0, False, 0.01)
         steps, _ = assert_matches_reference(z, G, xi)
         drops = drop_positions(z, G, xi, steps)
-        assert any(length > _GRAM_ROWS and position < length - 1 for position, length in drops)
+        assert any(length > 8 and position < length - 1 for position, length in drops)
 
     @pytest.mark.parametrize("cfg", [
         ExperimentConfig(SparsityProfile(128, 128, 4, 4), m=32, m1=32, m2=32, sigma=0.1, D=0.0025,
@@ -528,7 +530,7 @@ class TestMatchesPerProblemLoop:
         assert len(probs) == cfg.receivers * (cfg.m1 + cfg.profile.N)
         for prob in probs:
             sol = solve_lasso(prob)
-            coef, steps, _, converged = oracles.homotopy_path(prob.z, prob.G, prob.xi)
+            coef, steps, _, converged, _ = oracles.homotopy_path(prob.z, prob.G, prob.xi)
             assert sol.converged and converged
             assert sol.iterations == steps and same_bits(sol.coef, coef)
 
@@ -539,3 +541,151 @@ class TestMatchesPerProblemLoop:
         got = (res.mu_hat, res.y_hat, res.theta_hat, res.x_hat, res.per_source_distortion)
         assert all(same_bits(a, b) for a, b in zip(got, ref[:5]))
         assert (res.spatial_converged, res.temporal_converged) == ref[5:]
+
+
+@st.composite
+def path_batches(draw):
+    """(G, Z, xis, caps, duplicate): the observations of several path_instance draws on the design of the first.
+
+    The design mixes in column 0, which makes paths drop columns, and may
+    hold a copy of it.  The last column is at or below its weight already
+    at lam_max (zero steps); caps of 1, 2 and 5 steps mix with uncapped
+    paths; and a batch may hold more columns than lasso_paths steps at
+    once, so finished paths hand their places to later columns.
+    """
+    q, p = draw(st.integers(2, 16)), draw(st.integers(2, 30))
+    mix, duplicate = draw(st.sampled_from([0.0, 0.5, 0.9])), draw(st.booleans())
+    _, G, _, _ = path_instance(draw(st.integers(0, 2**32 - 1)), q, p, mix, duplicate, 1.0)
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40))
+    Z = np.column_stack([path_instance(s, q, p, mix, duplicate, 1.0)[0] for s in seeds])
+    fracs = [draw(st.floats(1e-3, 1.2)) for _ in seeds[1:]] + [draw(st.sampled_from([1.0, 1.2]))]
+    xis = np.array([f * np.max(np.abs(G.T @ z)) / q for f, z in zip(fracs, Z.T)])
+    caps = [draw(st.sampled_from([1, 2, 5, 10_000])) for _ in seeds]
+    return G, Z, xis, caps, duplicate
+
+
+def fold(j, p, duplicate):
+    """Column j, with a duplicate instance's copy column p-1 read as column 0."""
+    return 0 if duplicate and j == p - 1 else j
+
+
+def assert_same_path(got, want):
+    assert (got.steps, got.reached) == (want.steps, want.reached)
+    assert all(same_bits(a, b) for a, b in ((got.active, want.active), (got.signs, want.signs),
+                                             (got.coef, want.coef)))
+
+
+class TestLassoPaths:
+    """lasso_paths steps a block of columns as it steps each column alone, bit for bit."""
+
+    @given(batch=path_batches())
+    def test_batch_equals_each_column_alone(self, batch):
+        G, Z, xis, caps, duplicate = batch
+        q, p = G.shape
+        paths = lasso_paths(G, Z, xis, caps)
+        for b, path in enumerate(paths):
+            assert_same_path(path, lasso_paths(G, Z[:, b:b + 1], xis[b:b + 1], caps[b])[0])
+            assert isinstance(path.steps, int)
+            # only joined columns are active: the reference joins the same ones, in the same order
+            # (either copy of a duplicated column, which ties with it)
+            active = path.active.tolist()
+            assert len(set(active)) == len(active) <= q
+            ref = oracles.homotopy_path(Z[:, b], G, xis[b], max_iter=caps[b])[4]
+            assert [fold(j, p, duplicate) for j in active] == [fold(j, p, duplicate) for j in ref]
+        assert paths[-1].steps == 0 and paths[-1].reached
+
+    def test_a_batch_holds_every_case(self):
+        # the batch family does step paths that drop columns, hit caps and take no step
+        G, Z, xis, caps = fixed_batch()
+        paths = lasso_paths(G, Z, xis, caps)
+        drops = [oracles.homotopy_path(z, G, xi, max_iter=cap)[2] for z, xi, cap in zip(Z.T, xis, caps)]
+        assert len(paths) > csnc.lasso._LOCKSTEP and max(drops) > 0
+        assert any(p.steps == cap < 10_000 and not p.reached for p, cap in zip(paths, caps))
+        assert any(p.steps == 0 for p in paths)
+        for b, path in enumerate(paths):
+            assert_same_path(path, lasso_paths(G, Z[:, b:b + 1], xis[b:b + 1], caps[b])[0])
+
+    def test_singular_system_stops_only_its_path(self, monkeypatch):
+        # a batched solve raises for the whole stack; the singular system's path stops, the rest go on
+        G, Z, xis, caps = fixed_batch()
+        target = 3
+        first = lasso_paths(G, Z[:, target:target + 1], xis[target:target + 1], 2)[0]
+        A = first.active
+        block = np.array([(G[:, i] @ G / G.shape[0])[A] for i in A])
+        solve = np.linalg.solve
+
+        def singular_at_block(a, b):
+            stack = np.asarray(a).reshape(-1, *np.shape(a)[-2:])
+            if any(m.shape == block.shape and np.array_equal(m, block) for m in stack):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_at_block)
+        paths = lasso_paths(G, Z, xis, caps)
+        alone = [lasso_paths(G, Z[:, b:b + 1], xis[b:b + 1], caps[b])[0] for b in range(Z.shape[1])]
+        monkeypatch.undo()
+        assert paths[target].steps == 2 and not paths[target].reached
+        assert_same_path(paths[target], first)
+        stopped = [b for b, path in enumerate(alone) if not path.reached and path.steps < caps[b]]
+        assert stopped and all(same_bits(paths[b].active[:2], A) for b in stopped)
+        for path, want in zip(paths, alone):
+            assert_same_path(path, want)
+        prob = LassoProblem(Z[:, target], G, xis[target])
+        assert solve_lasso(prob, path=paths[target]).converged is False
+
+    def test_invalid_inputs(self):
+        G, Z, xis, _ = fixed_batch()
+        bad = G.copy()
+        bad[1, 2] = np.nan
+        for args in [(bad, Z, xis), (G, Z[:-1], xis), (G, Z, xis[:-1]), (G, Z, -xis), (G, Z[:, 0], xis[:1])]:
+            with pytest.raises(ValueError):
+                lasso_paths(*args)
+        with pytest.raises(ValueError):
+            lasso_paths(G, Z, xis, 0)
+
+
+def fixed_batch():
+    """A batch as path_batches draws them: 40 columns on a 12 x 30 design that mixes in and copies column 0."""
+    _, G, _, _ = path_instance(7, 12, 30, 0.9, True, 1.0)
+    Z = np.column_stack([path_instance(100 + s, 12, 30, 0.9, True, 1.0)[0] for s in range(40)])
+    fracs = [0.01, 0.05, 0.2, 0.5] * 9 + [0.01, 0.3, 0.8, 1.0]
+    xis = np.array([f * np.max(np.abs(G.T @ z)) / 12 for f, z in zip(fracs, Z.T)])
+    return G, Z, xis, [1, 2, 5, 10_000, 10_000] * 8
+
+
+class TestCertifiedByCall:
+    """Every solution of a trial leaves through one csnc.lasso.solve_lasso call, where perfbench certifies it."""
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(SparsityProfile(128, 128, 4, 4), m=32, m1=32, m2=32, sigma=0.1, D=0.0025,
+                         master_seed=Seed(20260808)),
+        ExperimentConfig(SparsityProfile(32, 32, 2, 2), m=8, m1=13, m2=13, sigma=0.1, D=0.0025,
+                         master_seed=Seed(20260808)),
+    ], ids=["acceptance", "calibrate-small"])
+    def test_trial_solves_in_order(self, monkeypatch, cfg):
+        calls, decodes = [], []
+        solve, decode = csnc.lasso.solve_lasso, csnc.harness.decode_all
+
+        def spy(prob, *args, **kwargs):
+            calls.append((prob, solve(prob, *args, **kwargs)))
+            return calls[-1][1]
+
+        def decode_spy(obs, *args, **kwargs):
+            decodes.append((obs, decode(obs, *args, **kwargs)))
+            return decodes[-1][1]
+
+        monkeypatch.setattr(csnc.lasso, "solve_lasso", spy)
+        monkeypatch.setattr(csnc.harness, "decode_all", decode_spy)
+        run_trial(cfg, 0)
+        monkeypatch.undo()
+        per = cfg.m1 + cfg.profile.N
+        assert len(decodes) == cfg.receivers and len(calls) == cfg.receivers * per
+        for r, (obs, res) in enumerate(decodes):
+            mine = calls[r * per:(r + 1) * per]
+            # stage 1 solves time slice t on call t, stage 2 source i on call m1 + i
+            wants = [(obs[:, t], res.mu_hat[:, t]) for t in range(cfg.m1)]
+            wants += [(res.y_hat[:, i], res.theta_hat[i]) for i in range(cfg.profile.N)]
+            for (prob, sol), (z, coef) in zip(mine, wants):
+                assert same_bits(prob.z, z)
+                assert same_bits(coef, sol.coef) or same_bits(coef, debias_refit(prob, sol.coef))
+                assert type(sol.iterations) is int and sol.converged

@@ -129,14 +129,14 @@ class TestTransmit:
     def test_noiseless_identity(self):
         tm = direct_transfer_matrix(6, 6, Seed(0), family="identity")
         y = Seed(1).rng().normal(size=6)
-        z = transmit(tm, np.ones(6), y, 0.0, Seed(2))
+        z = transmit(tm, np.ones(6), y, 0.0, Seed(2).rng())
         assert np.array_equal(z, y)
 
     def test_noiseless_matches_multiply_oracle(self):
         tm = direct_transfer_matrix(5, 12, Seed(3))
-        pat = draw_onoff(12, 0.6, Seed(4))
+        pat = draw_onoff(12, 0.6, Seed(4).rng())
         y = Seed(5).rng().normal(size=12)
-        z = transmit(tm, pat, y, 0.0, Seed(6))
+        z = transmit(tm, pat, y, 0.0, Seed(6).rng())
         assert np.linalg.norm(z - tm.G @ (pat * y)) < 1e-12
 
     def test_noise_variance(self):
@@ -145,7 +145,7 @@ class TestTransmit:
         pat = np.ones(4)
         samples = np.concatenate(
             [
-                transmit(tm, pat, np.zeros(4), 1.0, Seed(8, i))
+                transmit(tm, pat, np.zeros(4), 1.0, Seed(8, i).rng())
                 for i in range(1000)
             ]
         )
@@ -158,7 +158,7 @@ class TestTransmit:
         sigma = 0.5
         Z = np.stack(
             [
-                transmit(tm, pat, np.zeros(4), sigma, Seed(10, i))
+                transmit(tm, pat, np.zeros(4), sigma, Seed(10, i).rng())
                 for i in range(10_000)
             ]
         )
@@ -169,27 +169,27 @@ class TestTransmit:
 
     def test_linearity_when_noiseless(self):
         tm = direct_transfer_matrix(7, 10, Seed(11))
-        pat = draw_onoff(10, 0.5, Seed(12))
+        pat = draw_onoff(10, 0.5, Seed(12).rng())
         rng = Seed(13).rng()
         for _ in range(10):
             y1, y2 = rng.normal(size=10), rng.normal(size=10)
             a, b = rng.normal(), rng.normal()
-            lhs = transmit(tm, pat, a * y1 + b * y2, 0.0, Seed(0))
-            rhs = a * transmit(tm, pat, y1, 0.0, Seed(0)) + b * transmit(tm, pat, y2, 0.0, Seed(0))
+            lhs = transmit(tm, pat, a * y1 + b * y2, 0.0, Seed(0).rng())
+            rhs = a * transmit(tm, pat, y1, 0.0, Seed(0).rng()) + b * transmit(tm, pat, y2, 0.0, Seed(0).rng())
             assert np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(rhs)) < 1e-10
 
     def test_determinism(self):
         tm = direct_transfer_matrix(5, 8, Seed(14))
-        pat = draw_onoff(8, 0.5, Seed(15))
+        pat = draw_onoff(8, 0.5, Seed(15).rng())
         y = Seed(16).rng().normal(size=8)
-        a = transmit(tm, pat, y, 0.3, Seed(17))
-        b = transmit(tm, pat, y, 0.3, Seed(17))
+        a = transmit(tm, pat, y, 0.3, Seed(17).rng())
+        b = transmit(tm, pat, y, 0.3, Seed(17).rng())
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
         tm = direct_transfer_matrix(5, 8, Seed(18))
         with pytest.raises(ValueError):
-            transmit(tm, np.ones(8), np.ones(7), 0.0, Seed(0))
+            transmit(tm, np.ones(8), np.ones(7), 0.0, Seed(0).rng())
 
     @pytest.mark.parametrize("pattern", [
         [1.0, 0.5, 0.0, 1.0], [1.0, 2.0, 0.0, 1.0], [1.0, np.nan, 0.0, 1.0], [[1.0, 1.0, 1.0, 1.0]], [1.0, 1.0, 1.0],
@@ -197,13 +197,13 @@ class TestTransmit:
     def test_invalid_pattern_rejected(self, pattern):
         tm = direct_transfer_matrix(3, 4, Seed(19))
         with pytest.raises(ValueError):
-            transmit(tm, pattern, np.ones(4), 0.0, Seed(0))
+            transmit(tm, pattern, np.ones(4), 0.0, Seed(0).rng())
 
     @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
     def test_invalid_sigma_rejected(self, sigma):
         tm = direct_transfer_matrix(3, 4, Seed(20))
         with pytest.raises(ValueError):
-            transmit(tm, np.ones(4), np.ones(4), sigma, Seed(0))
+            transmit(tm, np.ones(4), np.ones(4), sigma, Seed(0).rng())
 
 
 class TestNetworkUses:

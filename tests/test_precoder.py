@@ -74,31 +74,31 @@ class TestTemporalProject:
 
 class TestDrawOnoff:
     def test_probability_one_is_all_ones(self):
-        pat = draw_onoff(50, 1.0, Seed(0))
+        pat = draw_onoff(50, 1.0, Seed(0).rng())
         assert pat.dtype == np.float64 and pat.shape == (50,)
         assert np.all(pat == 1.0)
 
     def test_probability_zero_is_all_zeros(self):
-        pat = draw_onoff(50, 0.0, Seed(0))
+        pat = draw_onoff(50, 0.0, Seed(0).rng())
         assert np.all(pat == 0.0)
 
     def test_binomial_concentration(self):
-        pat = draw_onoff(10_000, 0.3, Seed(12))
+        pat = draw_onoff(10_000, 0.3, Seed(12).rng())
         assert abs(pat.sum() - 3000) <= 3 * np.sqrt(2100)
 
     def test_determinism(self):
-        assert np.array_equal(draw_onoff(40, 0.5, Seed(3)), draw_onoff(40, 0.5, Seed(3)))
+        assert np.array_equal(draw_onoff(40, 0.5, Seed(3).rng()), draw_onoff(40, 0.5, Seed(3).rng()))
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            draw_onoff(10, -0.1, Seed(0))
+            draw_onoff(10, -0.1, Seed(0).rng())
         with pytest.raises(ValueError):
-            draw_onoff(10, 1.1, Seed(0))
+            draw_onoff(10, 1.1, Seed(0).rng())
 
 
 class TestSavings:
     def test_case1_probability_matches_expected_savings(self):
         m2, N = 30, 300
         # the fraction of sources that stay silent is 1 - m2/N on average
-        vals = [1.0 - draw_onoff(N, m2 / N, Seed(20, i)).mean() for i in range(50)]
+        vals = [1.0 - draw_onoff(N, m2 / N, Seed(20, i).rng()).mean() for i in range(50)]
         assert abs(np.mean(vals) - 0.9) < 0.05
