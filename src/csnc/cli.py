@@ -10,8 +10,11 @@ per-trial verbs (generate, project, decode, re-estimate) act on trial
 0 of the configured seed, the same trial `trial --index 0` runs.  Exit
 codes: 0 success, 1 assertion or calibration failure, 2 usage error (a
 flag value out of range or malformed, reported as "invalid argument
---<flag>", or a malformed config file, reported as "invalid
-configuration"), 3 I/O error.  With -v, the trial and simulate
+--<flag>"; budget flags whose budget overflows, reported as "invalid
+arguments"; or a malformed config file, reported as "invalid
+configuration"), 3 I/O error.  A sweep checks every cell's config before
+its first trial, and reports a value that makes an invalid one as a
+--values fault.  With -v, the trial and simulate
 verbs log each trial record's index, time, convergence and max
 distortion, and calibrate its evaluation table, to stderr; stdout and
 every written file are the same with or without it.
@@ -47,18 +50,17 @@ _COUNT_FLAGS = {
     "cascade-check": (("triples", 1), ("vectors", 1)),
     "trial": (("index", 0),),
     "calibrate": (("pilot_trials", 20),),  # calibrate_c's least pilot batch
+    "budget": (("k1", 1), ("k2", 1), ("n", 2), ("N", 2), ("m", 1)),  # theorem_budget's ranges
 }
 
-
-def _parse_values(text: str) -> list[float]:
-    """--values as a nonempty ascending list of floats; ValueError names the fault."""
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ValueError(f"not a comma-separated list of numbers: {text!r}") from None
-    if sorted(values) != values:
-        raise ValueError("values must be sorted ascending")
-    return values
+# float flags per verb: (flag, range check, the range in words); every check rejects NaN
+_RANGE_FLAGS = {
+    "calibrate": (("target", lambda v: 0 < v <= 1, "must lie in (0, 1]"),),  # calibrate_c's target range
+    "re-estimate": (("alpha", lambda v: 1 <= v < math.inf, "must be finite and >= 1"),),  # ConeSpec's range
+    "budget": (("c", lambda v: 0 < v < math.inf, "must be finite and > 0"),
+               ("sigma", lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
+               ("D", lambda v: 0 < v < math.inf, "must be finite and > 0")),
+}
 
 
 def _log_records(log, records) -> None:
@@ -240,6 +242,10 @@ def dispatch(args, log=None) -> int:
         return EXIT_OK if total_left == 0 and total_right == 0 else EXIT_FAIL
 
     if verb == "sweep":
+        try:
+            harness.sweep_configs(cfg, args.axis, args.values)
+        except ValueError as exc:
+            return _flag_fault("values", str(exc))
         result = harness.sweep(cfg, args.axis, args.values, workers=args.threads)
         path = out or f"sweep_{args.axis}.csv"
         harness.export_sweep(result, path)
@@ -282,15 +288,14 @@ def main(argv=None) -> int:
         value = getattr(args, flag, None)
         if value is not None and value < floor:
             return _flag_fault(flag, f"must be >= {floor}")
-    if args.verb == "calibrate" and not 0 < args.target <= 1:  # calibrate_c's target range
-        return _flag_fault("target", "must lie in (0, 1]")
-    if args.verb == "re-estimate" and not 1 <= args.alpha < math.inf:  # ConeSpec's range; rejects NaN
-        return _flag_fault("alpha", "must be finite and >= 1")
+    for flag, admits, why in _RANGE_FLAGS.get(args.verb, ()):
+        if not admits(getattr(args, flag)):
+            return _flag_fault(flag, why)
     if args.verb == "sweep":
         try:
-            args.values = _parse_values(args.values)
-        except ValueError as exc:
-            return _flag_fault("values", str(exc))
+            args.values = [float(v) for v in args.values.split(",")]
+        except ValueError:
+            return _flag_fault("values", f"not a comma-separated list of numbers: {args.values!r}")
     log = None
     if getattr(args, "verbose", False):  # budget takes no -v
         # imported here: logging adds about 0.5 MB and 5 ms to every process that imports csnc.cli
@@ -308,8 +313,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
+    except ValueError as exc:  # budget reads no config: what is left is its flags' overflowing budget
+        print(f"invalid {'arguments' if args.verb == 'budget' else 'configuration'}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if log is not None:

@@ -38,8 +38,9 @@ from .netsim import (
     network_uses,
     transmit,
 )
-from .precoder import draw_onoff, make_projection, temporal_project
+from .precoder import PROJECTION_FAMILIES, draw_onoff, make_projection, temporal_project
 from .sources import (
+    DICTIONARY_KINDS,
     DictionaryPair,
     SourceEnsemble,
     SparsityProfile,
@@ -49,11 +50,14 @@ from .sources import (
 
 NETWORK_MODES = ("direct", "example1", "identity")
 CASES = ("case1-sparseB", "case2-denseB")
+AMP_RANGE = (8.0, 16.0)  # magnitude range of the nonzero core entries of every ensemble
+CONNECT_PROB = 1.0 / 3.0  # example1: each source feeds each intermediate with this probability
+COEFF_FAMILY = "rademacher"  # example1: first-layer coding coefficients
 
 # substream tags
 _TRIAL, _DICTS, _ENSEMBLE, _PROJ, _TOPO, _TRANSFER, _PATTERN, _NOISE, _PILOT = range(1, 10)
 
-CONFIG_SCHEMA_VERSION = 2
+CONFIG_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -72,12 +76,8 @@ class ExperimentConfig:
     network_mode: str = "direct"
     case: str = "case2-denseB"
     projection_family: str = "gaussian"
-    coeff_family: str = "rademacher"
-    connect_prob: float = 1.0 / 3.0
     receivers: int = 1
     trials: int = 50
-    amp_lo: float = 8.0
-    amp_hi: float = 16.0
     redraw_b_per_t: bool = True
     debias: bool = True
     stage2: bool = True  # False: stage-1 scaling experiments skip the temporal decode
@@ -96,18 +96,14 @@ class ExperimentConfig:
             raise ValueError("sigma must be finite and nonnegative")
         if self.trials < 1 or self.receivers < 1:
             raise ValueError("need trials >= 1 and receivers >= 1")
-        if self.network_mode not in NETWORK_MODES:
-            raise ValueError(f"unknown network mode {self.network_mode!r}")
-        if self.case not in CASES:
-            raise ValueError(f"unknown case {self.case!r}")
+        for key, allowed in (("network_mode", NETWORK_MODES), ("case", CASES), ("kind_phi", DICTIONARY_KINDS),
+                             ("kind_psi", DICTIONARY_KINDS), ("projection_family", PROJECTION_FAMILIES)):
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"unknown {key} {getattr(self, key)!r}: expected one of {', '.join(allowed)}")
         if self.network_mode == "example1" and self.m2 > self.m:
             raise ValueError("example1 mode requires m2 <= m")
         if self.network_mode == "identity" and self.m2 != p.N:
             raise ValueError("identity network mode requires m2 == N")
-        if not (0 < self.amp_lo <= self.amp_hi):
-            raise ValueError("amplitude range must satisfy 0 < lo <= hi")
-        if not (1.0 / 3.0 <= self.connect_prob <= 1.0):
-            raise ValueError("connect_prob must lie in [1/3, 1]")
 
 
 @dataclass
@@ -134,8 +130,8 @@ def _make_transfer(cfg: ExperimentConfig, seed: Seed) -> TransferMatrix:
         return direct_transfer_matrix(cfg.m2, N, seed)
     if cfg.network_mode == "identity":
         return direct_transfer_matrix(N, N, seed, family="identity")
-    topo = build_example_topology(N, cfg.m, cfg.connect_prob, seed.child(_TOPO))
-    return derive_transfer_matrix(topo, cfg.m2, cfg.coeff_family, seed)
+    topo = build_example_topology(N, cfg.m, CONNECT_PROB, seed.child(_TOPO))
+    return derive_transfer_matrix(topo, cfg.m2, COEFF_FAMILY, seed)
 
 
 @dataclass
@@ -158,7 +154,7 @@ def build_trial(cfg: ExperimentConfig, index: int) -> Trial:
     seed = cfg.master_seed.child(_TRIAL, index)
 
     dicts = make_dictionary_pair(cfg.kind_phi, cfg.kind_psi, p.n, p.N, seed.child(_DICTS))
-    ens = generate_ensemble(p, dicts, (cfg.amp_lo, cfg.amp_hi), seed.child(_ENSEMBLE))
+    ens = generate_ensemble(p, dicts, AMP_RANGE, seed.child(_ENSEMBLE))
     A = make_projection(cfg.m1, p.n, cfg.projection_family, seed.child(_PROJ))
     Y = temporal_project(ens, A)
 
@@ -265,15 +261,18 @@ def theorem_budget(c, k1, k2, n, N, m, sigma, D) -> BudgetPlan:
     (k1 ln n / m1 vs k2 ln N / m2) subject to m1 * m2 = budget * m, and
     is clipped to the feasible box; m1 (m2) is floored at k1 + 1
     (k2 + 1) because fewer measurements than the sparsity can never
-    recover anything.
+    recover anything.  A budget past the float range raises ValueError.
     """
-    if min(c, k1, k2, m) <= 0 or n < 2 or N < 2:
-        raise ValueError("need positive c, k1, k2, m and n, N >= 2")
-    if not D > 0:
-        raise ValueError("D must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    c_use = c * k1 * k2 * math.log(n) * math.log(N) / m * sigma**2 / D
+    if min(k1, k2, m) <= 0 or n < 2 or N < 2:
+        raise ValueError("need positive k1, k2, m and n, N >= 2")
+    if not (0 < c < math.inf and 0 < D < math.inf and 0 <= sigma < math.inf):  # also rejects NaN
+        raise ValueError("need finite c > 0, D > 0 and sigma >= 0")
+    try:
+        c_use = c * k1 * k2 * math.log(n) * math.log(N) / m * sigma**2 / D
+    except OverflowError:  # sigma**2 or an integer past the float range
+        c_use = math.inf
+    if not math.isfinite(c_use):
+        raise ValueError("the budget c_use overflows the float range")
     raw_m1 = math.sqrt(c_use * m * math.log(n) * k1 / (math.log(N) * k2)) if c_use > 0 else 0.0
     m1 = min(max(math.ceil(raw_m1), 1, min(k1 + 1, n)), n)
     m2 = min(max(math.ceil(c_use * m / m1), 1, min(k2 + 1, N)), N)
@@ -282,8 +281,8 @@ def theorem_budget(c, k1, k2, n, N, m, sigma, D) -> BudgetPlan:
 
 def naive_baseline(n, N, m, sigma, D) -> float:
     """Network uses of the correlation-blind scheme: (nN/m) log2(sigma^2 / D), floored at 0."""
-    if min(n, N, m) < 1 or not D > 0 or sigma < 0:
-        raise ValueError("need positive dimensions and D > 0, sigma >= 0")
+    if min(n, N, m) < 1 or not (0 < D < math.inf and 0 <= sigma < math.inf):  # also rejects NaN
+        raise ValueError("need positive dimensions and finite D > 0, sigma >= 0")
     if sigma**2 <= D:
         return 0.0
     return (n * N / m) * math.log2(sigma**2 / D)
@@ -448,18 +447,30 @@ class SweepResult:
 
 
 def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    p = cfg.profile
     if axis == "sigma":
         return replace(cfg, sigma=float(value))
-    if axis == "m2":
-        return replace(cfg, m2=int(value))
-    if axis == "m1":
-        return replace(cfg, m1=int(value))
-    if axis == "k2":
-        return replace(cfg, profile=SparsityProfile(p.N, p.n, p.k1, int(value)))
-    if axis == "N":
-        return replace(cfg, profile=SparsityProfile(int(value), p.n, p.k1, p.k2))
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    if not float(value).is_integer():  # also rejects NaN and inf
+        raise ValueError(f"{axis} takes integer values, not {value!r}")
+    if axis in ("m1", "m2"):
+        return replace(cfg, **{axis: int(value)})
+    return replace(cfg, profile=replace(cfg.profile, **{axis: int(value)}))
+
+
+def sweep_configs(cfg: ExperimentConfig, axis: str, values) -> list[ExperimentConfig]:
+    """cfg with the axis set to each value: every cell's config, built and so checked before any trial runs.
+
+    ValueError names an unknown axis, empty or unsorted values, a
+    non-integer value on an integer axis (m2, m1, k2, N), or a value that
+    makes an invalid config.
+    """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    values = list(values)
+    if not values:
+        raise ValueError("values must be nonempty")
+    if sorted(values) != values:
+        raise ValueError("values must be sorted ascending")
+    return [_apply_axis(cfg, axis, v) for v in values]
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1) -> SweepResult:
@@ -470,18 +481,12 @@ def sweep(cfg: ExperimentConfig, axis: str, values, workers: int = 1) -> SweepRe
     axis fits the median end distortion instead (-1), and the N axis
     reports statistics only.  A cell whose axis value is not positive,
     or whose fitted median is not positive and finite, is left out of
-    the fit and listed in the result's `excluded`.
+    the fit and listed in the result's `excluded`.  Every cell's config
+    is built by sweep_configs before the first trial runs.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}")
     values = list(values)
-    if not values:
-        raise ValueError("values must be nonempty")
-    if sorted(values) != values:
-        raise ValueError("values must be sorted ascending")
     cells = []
-    for v in values:
-        cfg_v = _apply_axis(cfg, axis, v)
+    for v, cfg_v in zip(values, sweep_configs(cfg, axis, values)):
         recs = run_trials(cfg_v, range(cfg.trials), workers=workers)
         maxd = np.array([r.max_distortion for r in recs])
         cells.append(
@@ -651,8 +656,9 @@ def load_config(path: str, default_seed: Seed | None = None) -> ExperimentConfig
     replaces the default seed.  Values are read by field type: bools
     accept true/false, yes/no, on/off and 1/0, and an empty value is
     rejected.  A malformed file, an unknown key (the three weight keys
-    of a schema-1 file among them) or a missing required key raises
-    ValueError.
+    of a schema-1 file and the amp_lo, amp_hi, coeff_family and
+    connect_prob keys of a schema-2 file among them), an unknown kind or
+    family, or a missing required key raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (N vs n)

@@ -133,15 +133,17 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     leaves and may not rejoin on the next step).  The first piece is the
     zero-length step at which the column of largest |c_j| joins with
     sign(c_j); it counts as a path step.  A path stops when it reaches
-    xis[b], after max_iter steps (a scalar or one cap per column), or at
+    xis[b], after max_iter steps (one cap for the whole block), or at
     a singular active system, where it keeps the iterate and step count
     from before that step (Osborne, Presnell & Turlach 2000; Efron et
     al. 2004).  A non-finite D or Z raises ValueError: it always makes
     a correlation non-finite.
 
     The columns are stepped in batches of at most _LOCKSTEP, each until
-    all its paths have stopped; the live paths of a batch are kept
-    compacted at the front of buffers reused for the whole call.  A step makes one
+    all its paths have stopped.  Every live path of a batch has taken
+    the same number of steps, so one check stops them all at max_iter.
+    The live paths of a batch are kept compacted at the front of
+    buffers reused for the whole call.  A step makes one
     batched np.linalg.solve of the active blocks H_AA, and one batched
     product d H_A over the Gram rows of the active columns, per
     active-set size among the live paths: padding the smaller blocks
@@ -159,13 +161,12 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     q, p = D.shape
     nb = Z.shape[1]
     xis = np.asarray(xis, dtype=np.float64)
-    caps = np.full(nb, max_iter, dtype=np.intp).tolist()
     if Z.shape[0] != q:
         raise ValueError("observation length must match design rows")
     if xis.shape != (nb,) or not all(xi > 0 for xi in xis.tolist()):
         raise ValueError("need one positive xi per column")
-    if min(caps) < 1:
-        raise ValueError("max_iter must be >= 1")
+    if np.ndim(max_iter) != 0 or not max_iter >= 1:
+        raise ValueError("max_iter must be one cap >= 1 for the whole block")
 
     W = min(nb, _LOCKSTEP)
     # live path i: X[i] = [lam | c | -c | coefficients of the active slots (zero past k)] moves along
@@ -185,15 +186,14 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     shut = np.empty((W, p))
     active = np.empty((W, p), dtype=np.intp)
     signs, xi = np.empty((W, p)), np.empty(W)
-    meta = np.empty((W, 4), dtype=np.intp)
-    COL, SIZE, BARRED, CAP = range(4)  # column of Z, k, column barred for this step or -1, max_iter
+    meta = np.empty((W, 3), dtype=np.intp)
+    COL, SIZE, BARRED = range(3)  # column of Z, k, column barred for this step or -1
     slot = np.full(p, -1, dtype=np.intp)  # Gram row of column j: rows[slot[j]], once it joined a path
     rows = np.empty((min(p, 16), p))
     built = 0
     paths: list[LassoPath | None] = [None] * nb
     nl = start = steps = 0  # live paths, next column to admit, steps the batch has taken
     seen = -1  # the nl at which the views of the live paths were taken
-    soonest = None  # the smallest cap of a live path
     barred = False  # whether a live path bars a column on this step
 
     def join(i, j, sign):
@@ -207,23 +207,24 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
         n = meta[i, SIZE]
         active[i, n], signs[i, n], shut[i, j], meta[i, SIZE] = j, sign, np.inf, n + 1
 
-    def retire(done, hit):
-        nonlocal nl, soonest
+    def retire(done, reached):
+        nonlocal nl
         for i in done:
             n = meta[i, SIZE]
             paths[meta[i, COL]] = LassoPath(active[i, :n].copy(), signs[i, :n].copy(), coef[i, :n].copy(),
-                                            steps, i in hit)
+                                            steps, reached)
         keep = [i for i in range(nl) if i not in done]
         nl = len(keep)
         if nl and keep[-1] >= nl:
             for buf in (X, V, shut, active, signs, xi, meta):
                 buf[:nl] = buf[keep]
-        soonest = min(meta[:nl, CAP].tolist(), default=None)
 
     while True:
-        if nl == 0:  # admit the next batch of columns; each one's first piece joins its top column
+        if nl == 0 or steps >= max_iter:  # the live paths, all max_iter steps in, stop at the cap
+            retire(range(nl), False)
             if start == nb:
                 return paths
+            # admit the next batch of columns; each one's first piece joins its top column
             stop = min(nb, start + W)
             c0 = np.matmul(D.T, Z.T[start:stop, :, None])[:, :, 0] / q
             top = np.abs(c0)
@@ -246,14 +247,10 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
             coef[:nl] = 0.0
             shut[:nl] = 0.0
             for i, j in enumerate(top.argmax(axis=1).tolist()):
-                meta[i] = start + go[i], 0, -1, caps[start + go[i]]
+                meta[i] = start + go[i], 0, -1
                 join(i, j, 1.0 if c0[i, j] > 0 else -1.0)
             start = stop
-            soonest = min(meta[:nl, CAP].tolist(), default=None)
-            if soonest == 1:
-                retire({i for i, cap in enumerate(meta[:nl, CAP].tolist()) if cap == 1}, ())
-            if nl == 0:
-                continue
+            continue
         if nl != seen:  # views of the live paths
             seen = nl
             x, v, nd2, mv, r = X[:nl], V[:nl], ND[:, :nl], movable[:nl], ratio[:nl]
@@ -288,7 +285,7 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
                 else:
                     np.matmul(d[0], rows[R[0]], out=a[0])
         if failed:
-            retire(failed, ())
+            retire(failed, False)
             continue
 
         np.negative(a, out=na)
@@ -334,11 +331,8 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
                 coef[i, n - 1] = 0.0
                 meta[i, SIZE] = n - 1
                 barred = True
-        done = hit
-        if steps >= soonest:
-            done = hit | {i for i, cap in enumerate(meta[:nl, CAP].tolist()) if cap <= steps}
-        if done:
-            retire(done, hit)
+        if hit:
+            retire(hit, True)
 
 
 def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8,

@@ -105,13 +105,11 @@ def derive_transfer_matrix(
 
 
 def direct_transfer_matrix(m2: int, N: int, seed: Seed, family: str = "gaussian") -> TransferMatrix:
-    """Topology-free transfer matrix with i.i.d. unit-variance entries."""
+    """Topology-free transfer matrix: i.i.d. normal(0, 1) entries (gaussian), or I (identity, m2 == N)."""
     if m2 < 1 or N < 1:
         raise ValueError("need m2 >= 1 and N >= 1")
     if family == "gaussian":
         G = gaussian_matrix(m2, N, 1.0, seed)
-    elif family == "rademacher":
-        G = rademacher_matrix(m2, N, seed)
     elif family == "identity":
         if m2 != N:
             raise ValueError("identity transfer requires m2 == N")

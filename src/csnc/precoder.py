@@ -14,25 +14,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mathcore import Seed, as_matrix, gaussian_matrix, rademacher_matrix
+from .mathcore import Seed, as_matrix, gaussian_matrix
 from .sources import SourceEnsemble
 
-PROJECTION_FAMILIES = ("gaussian", "rademacher", "identity")
+PROJECTION_FAMILIES = ("gaussian", "identity")
 
 
 def make_projection(m1, n, family, seed: Seed) -> np.ndarray:
     """Draw the m1 x n projection matrix A.
 
-    gaussian draws i.i.d. normal(0, 1) entries and rademacher uniform
-    {-1, +1}; identity requires m1 == n and is a degenerate family kept
-    for lossless-pipeline tests.
+    gaussian draws i.i.d. normal(0, 1) entries; identity requires
+    m1 == n and is a degenerate family kept for lossless-pipeline tests.
     """
     if m1 < 1:
         raise ValueError("m1 must be >= 1")
     if family == "gaussian":
         return gaussian_matrix(m1, n, 1.0, seed)
-    if family == "rademacher":
-        return rademacher_matrix(m1, n, seed)
     if family == "identity":
         if m1 != n:
             raise ValueError("identity projection requires m1 == n")

@@ -77,15 +77,15 @@ def cone_membership_margin(y, spec: ConeSpec) -> float:
     return float(_cone_margins(np.asarray(y, dtype=float)[None, :], spec)[0])
 
 
-def sample_cone_vectors(spec: ConeSpec, seeds, slack: float | None = None) -> np.ndarray:
+def sample_cone_vectors(spec: ConeSpec, seeds) -> np.ndarray:
     """Random unit vectors in C(S; alpha), one row per seed.
 
     Row i is drawn from seeds[i]'s generator alone: the on-support block
-    i.i.d. normal, then the off-support block i.i.d. normal, then the
-    slack uniform in [0, 1] unless given.  The off block is rescaled so
-    its l1 norm equals slack * alpha * ||y_S||_1; slack = 0 puts the
-    vector exactly on the support.  A row does not depend on the other
-    seeds, so it equals sample_cone_vector(spec, seeds[i], slack).
+    i.i.d. normal, then the off-support block i.i.d. normal, then a
+    slack uniform in [0, 1] when the support leaves a complement.  The
+    off block is rescaled so its l1 norm equals slack * alpha *
+    ||y_S||_1.  A row does not depend on the other seeds, so it equals
+    sample_cone_vector(spec, seeds[i]).
 
     One generator serves the whole call: it is built for the first seed
     and reseated (Seed.reseat) for each later one, which starts exactly
@@ -93,17 +93,15 @@ def sample_cone_vectors(spec: ConeSpec, seeds, slack: float | None = None) -> np
     finish before the next row's reseat, and the generator never leaves
     this function.
     """
-    if slack is not None and not (0.0 <= slack <= 1.0):
-        raise ValueError("slack must lie in [0, 1]")
     S = list(spec.support)
     comp = spec.complement
     draws = np.empty((len(seeds), len(S) + comp.size))
-    slacks = np.full(len(seeds), 0.0 if slack is None else float(slack))
+    slacks = np.zeros(len(seeds))
     rng = None
     for i, seed in enumerate(seeds):
         rng = seed.rng() if rng is None else seed.reseat(rng)
         rng.standard_normal(out=draws[i])
-        if comp.size and slack is None:
+        if comp.size:
             slacks[i] = rng.random()
     on, off = draws[:, : len(S)], draws[:, len(S) :]
     on[~on.any(axis=1), 0] = 1.0  # measure-zero guard
@@ -115,9 +113,9 @@ def sample_cone_vectors(spec: ConeSpec, seeds, slack: float | None = None) -> np
     return Y / np.sqrt(_rowdot(Y, Y))[:, None]
 
 
-def sample_cone_vector(spec: ConeSpec, seed: Seed, slack: float | None = None) -> np.ndarray:
+def sample_cone_vector(spec: ConeSpec, seed: Seed) -> np.ndarray:
     """Random unit vector in C(S; alpha): the one-row case of sample_cone_vectors."""
-    return sample_cone_vectors(spec, [seed], slack)[0]
+    return sample_cone_vectors(spec, [seed])[0]
 
 
 @dataclass

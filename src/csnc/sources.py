@@ -19,7 +19,7 @@ import numpy as np
 
 from .mathcore import Seed, as_matrix, gaussian_matrix, min_singular_value
 
-DICTIONARY_KINDS = ("identity", "random-orthonormal", "discrete-cosine", "gaussian-invertible")
+DICTIONARY_KINDS = ("identity", "random-orthonormal", "discrete-cosine")
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,13 @@ class SourceEnsemble:
 
 
 def make_dictionary(kind: str, dim: int, seed: Seed | None = None) -> np.ndarray:
-    """Build an invertible dim x dim dictionary of the requested kind.
+    """Build an orthonormal dim x dim dictionary of the requested kind.
 
-    identity            -> I
-    random-orthonormal  -> Q from the QR of a seeded Gaussian matrix,
-                           sign-fixed so the factorization is unique
-    discrete-cosine     -> orthonormal type-II DCT basis, read-only and
-                           shared between calls of the same dim
-    gaussian-invertible -> seeded Gaussian with entries N(0, 1/dim),
-                           redrawn in the measure-zero singular case
+    identity           -> I
+    random-orthonormal -> Q from the QR of a seeded Gaussian matrix,
+                          sign-fixed so the factorization is unique
+    discrete-cosine    -> orthonormal type-II DCT basis, read-only and
+                          shared between calls of the same dim
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -96,12 +94,6 @@ def make_dictionary(kind: str, dim: int, seed: Seed | None = None) -> np.ndarray
     if kind == "random-orthonormal":
         Q, R = np.linalg.qr(gaussian_matrix(dim, dim, 1.0, seed))
         return Q * np.sign(np.diag(R))[None, :]
-    if kind == "gaussian-invertible":
-        for attempt in range(16):
-            M = gaussian_matrix(dim, dim, 1.0 / np.sqrt(dim), seed.child(attempt))
-            if min_singular_value(M) > 1e-8:
-                return M
-        raise ValueError("could not draw an invertible Gaussian dictionary")
     raise ValueError(f"unknown dictionary kind {kind!r}")
 
 
@@ -120,9 +112,8 @@ def _dct(dim: int) -> np.ndarray:
 def make_dictionary_pair(kind_phi, kind_psi, n, N, seed: Seed) -> DictionaryPair:
     """Convenience builder for (Phi n x n, Psi N x N) from kinds and one seed.
 
-    make_dictionary builds every kind invertible (orthonormal, or
-    Gaussian with its smallest singular value checked), so the pair
-    skips DictionaryPair's SVD check.
+    make_dictionary builds every kind orthonormal, so the pair skips
+    DictionaryPair's SVD check.
     """
     pair = object.__new__(DictionaryPair)
     pair.Phi = make_dictionary(kind_phi, n, seed.child(0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from csnc import cli
-from csnc.harness import ExperimentConfig, build_trial, decode_trial, load_config, save_config
+from csnc.harness import AMP_RANGE, ExperimentConfig, build_trial, decode_trial, load_config, save_config
 from csnc.mathcore import Seed
 from csnc.re_analysis import estimate_re, save_re_report
 from csnc.sources import SparsityProfile, generate_ensemble, load_ensemble, make_dictionary_pair
@@ -17,7 +17,7 @@ def write_cfg(path, **kw):
     base = dict(
         profile=SparsityProfile(N=16, n=12, k1=2, k2=2),
         m=4, m1=8, m2=12, sigma=0.05, D=0.01,
-        master_seed=Seed(11), trials=3, amp_lo=8.0, amp_hi=16.0,
+        master_seed=Seed(11), trials=3,
     )
     base.update(kw)
     save_config(ExperimentConfig(**base), str(path))
@@ -56,7 +56,7 @@ class TestParsing:
             cli.main(["--help"])
         assert err.value.code == 0
         out = " ".join(capsys.readouterr().out.split())  # undo argparse line wrapping
-        assert "schema version 2" in out
+        assert "schema version 3" in out
         for verb in ("generate", "project", "simulate", "decode", "re-estimate",
                      "cascade-check", "trial", "sweep", "calibrate", "budget"):
             assert verb in out
@@ -74,14 +74,49 @@ class TestParsing:
         assert args.seed == 7
 
 
+BUDGET_ARGV = ["budget", "--k1", "4", "--k2", "4", "--n", "128", "--N", "128",
+               "--m", "32", "--sigma", "0.1", "--D", "0.01", "--c", "10"]
+
+
+def budget_argv(flag, value):
+    argv = list(BUDGET_ARGV)
+    argv[argv.index(flag) + 1] = value
+    return argv
+
+
 class TestBudgetVerb:
     def test_prints_value_and_split(self, capsys):
-        rc = cli.main(["budget", "--k1", "4", "--k2", "4", "--n", "128", "--N", "128",
-                       "--m", "32", "--sigma", "0.1", "--D", "0.01", "--c", "10"])
+        rc = cli.main(BUDGET_ARGV)
         assert rc == 0
         out = capsys.readouterr().out
         assert "c_use = 117.7" in out
         assert "suggested m1 =" in out
+
+    @pytest.mark.parametrize("flag, value, why", [
+        ("--c", "inf", "must be finite and > 0"),
+        ("--c", "nan", "must be finite and > 0"),
+        ("--c", "0", "must be finite and > 0"),
+        ("--sigma", "inf", "must be finite and >= 0"),
+        ("--sigma", "-0.1", "must be finite and >= 0"),
+        ("--D", "inf", "must be finite and > 0"),
+        ("--D", "nan", "must be finite and > 0"),
+        ("--k1", "0", "must be >= 1"),
+        ("--N", "1", "must be >= 2"),
+        ("--m", "0", "must be >= 1"),
+    ])
+    def test_flag_fault_is_named(self, capsys, flag, value, why):
+        assert cli.main(budget_argv(flag, value)) == 2
+        captured = capsys.readouterr()
+        assert f"invalid argument {flag}: {why}" in captured.err
+        assert "Traceback" not in captured.err and "invalid configuration" not in captured.err
+        assert captured.out == ""
+
+    def test_overflowing_budget_is_usage_error(self, capsys):
+        # every flag is in range, but sigma^2 leaves the float range
+        assert cli.main(budget_argv("--sigma", "1e200")) == 2
+        captured = capsys.readouterr()
+        assert "invalid arguments: the budget c_use overflows" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestSimulateVerb:
@@ -161,7 +196,7 @@ class TestArtifactsMatchTrial:
         dict_seed = Seed(int(meta["dict_seed_master"]), int(meta["dict_seed_stream"]))
         dicts = make_dictionary_pair(meta["kind_phi"], meta["kind_psi"], p.n, p.N, dict_seed)
         ens_seed = Seed(int(meta["seed_master"]), int(meta["seed_stream"]))
-        regen = generate_ensemble(p, dicts, (cfg.amp_lo, cfg.amp_hi), ens_seed)
+        regen = generate_ensemble(p, dicts, AMP_RANGE, ens_seed)
         assert np.array_equal(regen.X, trial.ens.X)
 
     def test_project_is_the_trial_projection(self, cfg_path, tmp_path, capsys):
@@ -214,6 +249,8 @@ class TestAnalysisVerbs:
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--axis", "m2", "--values", "8,x"], "--values: not a comma-separated list of numbers: '8,x'"),
         (["sweep", "--axis", "m2", "--values", "12,8"], "--values: values must be sorted ascending"),
+        (["sweep", "--axis", "k2", "--values", "2.5,3"], "--values: k2 takes integer values, not 2.5"),
+        (["sweep", "--axis", "m2", "--values", "4,8,99"], "--values: need 1 <= m2 <= N"),
         (["calibrate", "--pilot-trials", "0"], "--pilot-trials: must be >= 20"),
         (["re-estimate", "--sparsity", "0"], "--sparsity: must be >= 1"),
         (["trial", "--index", "-1"], "--index: must be >= 0"),
@@ -225,9 +262,9 @@ class TestAnalysisVerbs:
         (["re-estimate", "--sparsity", "1000"], "--sparsity: must be <= N"),
         (["trial", "--threads", "0"], "--threads: must be >= 1"),
         (["re-estimate", "--threads", "-4"], "--threads: must be >= 1"),
-    ], ids=["values-not-numbers", "values-descending", "few-pilot-trials", "no-sparsity", "negative-index",
-            "negative-target", "nan-target", "target-above-one", "alpha-below-one", "nan-alpha",
-            "sparsity-above-n", "no-threads", "negative-threads"])
+    ], ids=["values-not-numbers", "values-descending", "values-not-integers", "values-past-N", "few-pilot-trials",
+            "no-sparsity", "negative-index", "negative-target", "nan-target", "target-above-one", "alpha-below-one",
+            "nan-alpha", "sparsity-above-n", "no-threads", "negative-threads"])
     def test_flag_fault_is_named(self, cfg_path, capsys, argv, message):
         assert cli.main(argv[:1] + ["--config", cfg_path] + argv[1:]) == 2
         captured = capsys.readouterr()
@@ -265,12 +302,15 @@ class TestAnalysisVerbs:
         assert rc == 2
 
     @pytest.mark.parametrize("old, new", [
-        ("amp_lo = 8.0", "amp_lo ="),
+        ("sigma = 0.05", "sigma ="),
         ("debias = true", "debias = maybe"),
         ("\nm = 4\n", "\nm = 4\nm = 4\n"),
         ("[experiment]\n", ""),
-        ("connect_prob = 0.3333333333333333", "connect_prob = nan"),
-    ], ids=["empty-number", "bad-bool", "duplicate-key", "no-section", "nan-connect-prob"])
+        ("sigma = 0.05", "sigma = nan"),
+        ("kind_phi = random-orthonormal", "kind_phi = gaussian-invertible"),
+        ("projection_family = gaussian", "projection_family = rademacher"),
+    ], ids=["empty-number", "bad-bool", "duplicate-key", "no-section", "nan-sigma", "removed-kind",
+            "removed-family"])
     def test_malformed_config_is_usage_error(self, cfg_path, capsys, old, new):
         text = open(cfg_path).read()
         assert old in text
@@ -287,6 +327,16 @@ class TestAnalysisVerbs:
         assert cli.main(["trial", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "invalid configuration: unknown config keys: ['xi_scale']" in err
+
+    def test_schema_2_file_names_its_removed_keys(self, tmp_path, capsys):
+        # as a schema-2 save_config wrote the defaults: every key, the four fixed since among them
+        path = tmp_path / "old.cfg"
+        path.write_text(open(write_cfg(tmp_path / "new.cfg")).read().replace("schema = 3", "schema = 2")
+                        + "coeff_family = rademacher\nconnect_prob = 0.3333333333333333\n"
+                        "amp_lo = 8.0\namp_hi = 16.0\n")
+        assert cli.main(["trial", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: unknown config keys: ['amp_hi', 'amp_lo', 'coeff_family', 'connect_prob']" in err
 
 
 class TestSeedPrecedence:

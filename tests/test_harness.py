@@ -31,7 +31,6 @@ from csnc.harness import (
     write_summary,
 )
 from csnc.mathcore import Seed
-from csnc.netsim import COEFF_FAMILIES
 from csnc.precoder import PROJECTION_FAMILIES
 from csnc.sources import DICTIONARY_KINDS, SparsityProfile
 
@@ -46,8 +45,6 @@ def small_cfg(**kw):
         D=0.01,
         master_seed=Seed(42),
         trials=4,
-        amp_lo=8.0,
-        amp_hi=16.0,
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -85,7 +82,7 @@ class TestRunTrial:
         assert math.isfinite(rec.max_distortion)
 
     def test_example1_network_mode(self):
-        cfg = small_cfg(network_mode="example1", m=24, m2=20, connect_prob=0.5)
+        cfg = small_cfg(network_mode="example1", m=24, m2=20)
         rec = run_trial(cfg, 0)
         assert math.isfinite(rec.max_distortion)
 
@@ -121,11 +118,13 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             small_cfg(**bad)
 
-    @pytest.mark.parametrize("prob", [math.nan, math.inf, 0.2, 1.5], ids=["nan", "inf", "low", "high"])
-    def test_connect_prob_outside_range_rejected(self, prob):
-        # with NaN, example1 draws no edge: all-zero transfer matrices and a "converged" failed trial
-        with pytest.raises(ValueError, match="connect_prob"):
-            small_cfg(network_mode="example1", m=24, connect_prob=prob)
+    @pytest.mark.parametrize("key, value", [
+        ("kind_phi", "bogus"), ("kind_psi", "gaussian-invertible"),
+        ("projection_family", "rademacher"), ("projection_family", "nope"),
+    ])
+    def test_unknown_kind_or_family_rejected_at_construction(self, key, value):
+        with pytest.raises(ValueError, match=f"unknown {key} '{value}'"):
+            small_cfg(**{key: value})
 
 
 class TestBuildTrial:
@@ -146,7 +145,7 @@ class TestBuildTrial:
             )
             assert rec.support_recovery_rate == hits / (2 * cfg.profile.N)
 
-    @pytest.mark.parametrize("network", [{}, dict(network_mode="example1", m=24, connect_prob=0.5)],
+    @pytest.mark.parametrize("network", [{}, dict(network_mode="example1", m=24)],
                              ids=["direct", "example1"])
     def test_adding_a_receiver_leaves_receiver_zero_bit_identical(self, network):
         one = build_trial(small_cfg(receivers=1, **network), 2)
@@ -320,6 +319,23 @@ class TestTheoremBudget:
         with pytest.raises(ValueError):
             theorem_budget(0, 4, 4, 128, 128, 32, 0.1, 0.01)
 
+    @pytest.mark.parametrize("c, sigma, D", [
+        (math.inf, 0.1, 0.01), (math.nan, 0.1, 0.01), (1.0, math.inf, 0.01), (1.0, math.nan, 0.01),
+        (1.0, 0.1, math.inf), (1.0, 0.1, math.nan),
+    ], ids=["c=inf", "c=nan", "sigma=inf", "sigma=nan", "D=inf", "D=nan"])
+    def test_non_finite_rejected(self, c, sigma, D):
+        with pytest.raises(ValueError, match="finite"):
+            theorem_budget(c, 4, 4, 128, 128, 32, sigma, D)
+        if not math.isfinite(sigma) or not math.isfinite(D):
+            with pytest.raises(ValueError, match="finite"):
+                naive_baseline(128, 128, 32, sigma, D)
+
+    @pytest.mark.parametrize("c, sigma, D", [(1.0, 1e200, 0.01), (1e308, 1.0, 1e-300), (1e308, 0.0, 0.01)],
+                             ids=["sigma-squared", "product", "inf-times-zero"])
+    def test_overflowing_budget_rejected(self, c, sigma, D):
+        with pytest.raises(ValueError, match="overflows"):
+            theorem_budget(c, 40, 40, 128, 128, 1, sigma, D)
+
 
 class TestNaiveBaseline:
     def test_zero_when_noise_at_or_below_distortion(self):
@@ -340,7 +356,7 @@ class TestCalibrate:
         base = dict(
             profile=SparsityProfile(N=16, n=12, k1=2, k2=2),
             m=8, m1=8, m2=12, sigma=sigma, D=0.01,
-            master_seed=Seed(42), trials=4, amp_lo=8.0, amp_hi=16.0,
+            master_seed=Seed(42), trials=4,
         )
         base.update(kw)
         return ExperimentConfig(**base)
@@ -376,7 +392,6 @@ class TestCalibrate:
         cfg = ExperimentConfig(
             profile=SparsityProfile(N=16, n=12, k1=6, k2=6),
             m=4, m1=2, m2=2, sigma=3.0, D=1e-9, master_seed=Seed(1), trials=4,
-            amp_lo=1.0, amp_hi=1.0,
         )
         with pytest.raises(CalibrationError) as err:
             calibrate_c(cfg, pilot_trials=20, c_hi=1e-2)
@@ -428,6 +443,21 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
             sweep(small_cfg(trials=2), "k1", [1, 2])
+
+    @pytest.mark.parametrize("axis, values", [
+        ("m2", [4.0, 4.9]), ("k2", [2.5, 3]), ("m1", [6, math.inf]), ("N", [math.nan]),
+    ], ids=["m2", "k2", "m1-inf", "N-nan"])
+    def test_integer_axis_rejects_non_integers(self, axis, values):
+        # an integer axis used to run int(value) and record the unrounded value
+        with pytest.raises(ValueError, match=f"{axis} takes integer values"):
+            sweep(small_cfg(trials=2), axis, values)
+
+    def test_every_cell_checked_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(csnc.harness, "run_trials", lambda cfg, *a, **kw: ran.append(cfg.m2) or [])
+        with pytest.raises(ValueError, match="m2 <= N"):
+            sweep(small_cfg(trials=2), "m2", [4, 8, 99])
+        assert ran == []
 
     SOURCE_FREE = ExperimentConfig(
         profile=SparsityProfile(N=16, n=12, k1=0, k2=0),
@@ -557,7 +587,6 @@ def configs(draw):
         m2 = N
     else:
         m2 = draw(st.integers(1, min(N, m) if mode == "example1" else N))
-    amp_lo = draw(st.floats(1e-3, 1e3))
     return ExperimentConfig(
         profile=SparsityProfile(N, n, draw(st.integers(0, n)), draw(st.integers(0, N))),
         m=m, m1=draw(st.integers(1, n)), m2=m2,
@@ -566,10 +595,7 @@ def configs(draw):
         kind_phi=draw(st.sampled_from(DICTIONARY_KINDS)), kind_psi=draw(st.sampled_from(DICTIONARY_KINDS)),
         network_mode=mode, case=draw(st.sampled_from(CASES)),
         projection_family=draw(st.sampled_from(PROJECTION_FAMILIES)),
-        coeff_family=draw(st.sampled_from(COEFF_FAMILIES)),
-        connect_prob=draw(st.floats(1 / 3, 1.0)),
         receivers=draw(st.integers(1, 8)), trials=draw(st.integers(1, 1000)),
-        amp_lo=amp_lo, amp_hi=draw(st.floats(amp_lo, 1e4)),
         redraw_b_per_t=draw(st.booleans()), debias=draw(st.booleans()), stage2=draw(st.booleans()),
     )
 
@@ -612,7 +638,7 @@ class TestCaseParity:
         common = dict(
             profile=SparsityProfile(N=32, n=24, k1=2, k2=2),
             m=8, m1=14, m2=20, sigma=0.05, D=0.01,
-            master_seed=Seed(314), trials=20, amp_lo=8.0, amp_hi=16.0,
+            master_seed=Seed(314), trials=20,
         )
         f1 = np.mean([r.success for r in run_trials(ExperimentConfig(case="case1-sparseB", **common))])
         f2 = np.mean([r.success for r in run_trials(ExperimentConfig(case="case2-denseB", **common))])

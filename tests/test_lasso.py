@@ -545,13 +545,13 @@ class TestMatchesPerProblemLoop:
 
 @st.composite
 def path_batches(draw):
-    """(G, Z, xis, caps, duplicate): the observations of several path_instance draws on the design of the first.
+    """(G, Z, xis, cap, duplicate): the observations of several path_instance draws on the design of the first.
 
     The design mixes in column 0, which makes paths drop columns, and may
     hold a copy of it.  The last column is at or below its weight already
-    at lam_max (zero steps); caps of 1, 2 and 5 steps mix with uncapped
-    paths; and a batch may hold more columns than lasso_paths steps at
-    once, so finished paths hand their places to later columns.
+    at lam_max (zero steps); the block's one cap is 1, 2 or 5 steps, or
+    none in reach; and a batch may hold more columns than lasso_paths
+    steps at once, so finished paths hand their places to later columns.
     """
     q, p = draw(st.integers(2, 16)), draw(st.integers(2, 30))
     mix, duplicate = draw(st.sampled_from([0.0, 0.5, 0.9])), draw(st.booleans())
@@ -560,8 +560,7 @@ def path_batches(draw):
     Z = np.column_stack([path_instance(s, q, p, mix, duplicate, 1.0)[0] for s in seeds])
     fracs = [draw(st.floats(1e-3, 1.2)) for _ in seeds[1:]] + [draw(st.sampled_from([1.0, 1.2]))]
     xis = np.array([f * np.max(np.abs(G.T @ z)) / q for f, z in zip(fracs, Z.T)])
-    caps = [draw(st.sampled_from([1, 2, 5, 10_000])) for _ in seeds]
-    return G, Z, xis, caps, duplicate
+    return G, Z, xis, draw(st.sampled_from([1, 2, 5, 10_000])), duplicate
 
 
 def fold(j, p, duplicate):
@@ -580,34 +579,35 @@ class TestLassoPaths:
 
     @given(batch=path_batches())
     def test_batch_equals_each_column_alone(self, batch):
-        G, Z, xis, caps, duplicate = batch
+        G, Z, xis, cap, duplicate = batch
         q, p = G.shape
-        paths = lasso_paths(G, Z, xis, caps)
+        paths = lasso_paths(G, Z, xis, cap)
         for b, path in enumerate(paths):
-            assert_same_path(path, lasso_paths(G, Z[:, b:b + 1], xis[b:b + 1], caps[b])[0])
+            assert_same_path(path, lasso_paths(G, Z[:, b:b + 1], xis[b:b + 1], cap)[0])
             assert isinstance(path.steps, int)
             # only joined columns are active: the reference joins the same ones, in the same order
             # (either copy of a duplicated column, which ties with it)
             active = path.active.tolist()
             assert len(set(active)) == len(active) <= q
-            ref = oracles.homotopy_path(Z[:, b], G, xis[b], max_iter=caps[b])[4]
+            ref = oracles.homotopy_path(Z[:, b], G, xis[b], max_iter=cap)[4]
             assert [fold(j, p, duplicate) for j in active] == [fold(j, p, duplicate) for j in ref]
         assert paths[-1].steps == 0 and paths[-1].reached
 
     def test_a_batch_holds_every_case(self):
-        # the batch family does step paths that drop columns, hit caps and take no step
-        G, Z, xis, caps = fixed_batch()
-        paths = lasso_paths(G, Z, xis, caps)
-        drops = [oracles.homotopy_path(z, G, xi, max_iter=cap)[2] for z, xi, cap in zip(Z.T, xis, caps)]
-        assert len(paths) > csnc.lasso._LOCKSTEP and max(drops) > 0
-        assert any(p.steps == cap < 10_000 and not p.reached for p, cap in zip(paths, caps))
-        assert any(p.steps == 0 for p in paths)
-        for b, path in enumerate(paths):
-            assert_same_path(path, lasso_paths(G, Z[:, b:b + 1], xis[b:b + 1], caps[b])[0])
+        # the batch family does step paths that drop columns, hit the cap, reach xi and take no step
+        G, Z, xis = fixed_batch()
+        drops = [oracles.homotopy_path(z, G, xi)[2] for z, xi in zip(Z.T, xis)]
+        assert Z.shape[1] > csnc.lasso._LOCKSTEP and max(drops) > 0
+        for cap in (2, 10_000):
+            paths = lasso_paths(G, Z, xis, cap)
+            assert any(p.steps == cap and not p.reached for p in paths) == (cap == 2)
+            assert any(p.reached and p.steps > 0 for p in paths) and any(p.steps == 0 for p in paths)
+            for b, path in enumerate(paths):
+                assert_same_path(path, lasso_paths(G, Z[:, b:b + 1], xis[b:b + 1], cap)[0])
 
     def test_singular_system_stops_only_its_path(self, monkeypatch):
         # a batched solve raises for the whole stack; the singular system's path stops, the rest go on
-        G, Z, xis, caps = fixed_batch()
+        G, Z, xis = fixed_batch()
         target = 3
         first = lasso_paths(G, Z[:, target:target + 1], xis[target:target + 1], 2)[0]
         A = first.active
@@ -621,12 +621,12 @@ class TestLassoPaths:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", singular_at_block)
-        paths = lasso_paths(G, Z, xis, caps)
-        alone = [lasso_paths(G, Z[:, b:b + 1], xis[b:b + 1], caps[b])[0] for b in range(Z.shape[1])]
+        paths = lasso_paths(G, Z, xis)
+        alone = [lasso_paths(G, Z[:, b:b + 1], xis[b:b + 1])[0] for b in range(Z.shape[1])]
         monkeypatch.undo()
         assert paths[target].steps == 2 and not paths[target].reached
         assert_same_path(paths[target], first)
-        stopped = [b for b, path in enumerate(alone) if not path.reached and path.steps < caps[b]]
+        stopped = [b for b, path in enumerate(alone) if not path.reached]
         assert stopped and all(same_bits(paths[b].active[:2], A) for b in stopped)
         for path, want in zip(paths, alone):
             assert_same_path(path, want)
@@ -634,14 +634,15 @@ class TestLassoPaths:
         assert solve_lasso(prob, path=paths[target]).converged is False
 
     def test_invalid_inputs(self):
-        G, Z, xis, _ = fixed_batch()
+        G, Z, xis = fixed_batch()
         bad = G.copy()
         bad[1, 2] = np.nan
         for args in [(bad, Z, xis), (G, Z[:-1], xis), (G, Z, xis[:-1]), (G, Z, -xis), (G, Z[:, 0], xis[:1])]:
             with pytest.raises(ValueError):
                 lasso_paths(*args)
-        with pytest.raises(ValueError):
-            lasso_paths(G, Z, xis, 0)
+        for cap in (0, [10_000] * Z.shape[1], np.full(Z.shape[1], 5)):  # one cap per block, not per column
+            with pytest.raises(ValueError, match="max_iter"):
+                lasso_paths(G, Z, xis, cap)
 
 
 def fixed_batch():
@@ -650,7 +651,7 @@ def fixed_batch():
     Z = np.column_stack([path_instance(100 + s, 12, 30, 0.9, True, 1.0)[0] for s in range(40)])
     fracs = [0.01, 0.05, 0.2, 0.5] * 9 + [0.01, 0.3, 0.8, 1.0]
     xis = np.array([f * np.max(np.abs(G.T @ z)) / 12 for f, z in zip(fracs, Z.T)])
-    return G, Z, xis, [1, 2, 5, 10_000, 10_000] * 8
+    return G, Z, xis
 
 
 class TestCertifiedByCall:

@@ -33,7 +33,7 @@ class TestBuildExampleTopology:
         with pytest.raises(ValueError):
             build_example_topology(10, 3, 0.2, Seed(0))
 
-    @pytest.mark.parametrize("prob", [1.5, float("nan")], ids=["high", "nan"])
+    @pytest.mark.parametrize("prob", [1.5, float("inf"), float("nan")], ids=["high", "inf", "nan"])
     def test_connectivity_outside_range_rejected(self, prob):
         # NaN fails both one-sided comparisons, so the range is checked as one interval
         with pytest.raises(ValueError):

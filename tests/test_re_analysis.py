@@ -51,16 +51,6 @@ class TestSampleConeVector:
         y = sample_cone_vector(spec, Seed(2))
         assert abs(np.linalg.norm(y) - 1.0) < 1e-12
 
-    def test_zero_slack_stays_on_support(self):
-        spec = ConeSpec(10, (1, 4), alpha=2.0)
-        y = sample_cone_vector(spec, Seed(3), slack=0.0)
-        off = spec.complement
-        assert np.all(y[off] == 0.0)
-
-    def test_slack_validation(self):
-        with pytest.raises(ValueError):
-            sample_cone_vector(ConeSpec(4, (0,)), Seed(0), slack=1.5)
-
     def test_batch_rows_are_single_draws(self):
         spec = ConeSpec(9, (2, 7), alpha=1.5)
         seeds = [Seed(4).child(i) for i in range(7)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import csnc.mathcore
-from csnc.mathcore import Seed, min_singular_value, singular_values
+from csnc.mathcore import Seed, singular_values
 from csnc.sources import (
     DictionaryPair,
     SourceEnsemble,
@@ -27,10 +27,6 @@ class TestMakeDictionary:
     def test_discrete_cosine_gram(self):
         C = make_dictionary("discrete-cosine", 8)
         assert np.allclose(C.T @ C, np.eye(8), atol=1e-8)
-
-    def test_gaussian_invertible(self):
-        M = make_dictionary("gaussian-invertible", 12, Seed(5))
-        assert min_singular_value(M) > 1e-8
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

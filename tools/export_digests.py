@@ -6,9 +6,9 @@ The package is imported from <checkout>/src, so running this once on
 each of two checkouts and diffing the two outputs shows whether a
 change kept these outputs byte-identical:
 
-- the export_results CSV of trials 0-3 of each of the eight export
+- the export_results CSV of trials 0-3 of each of the seven export
   configs below, and of trials 0-15 of the acceptance config;
-- for each of the eight export configs, the drawn trials 0-3 themselves:
+- for each of the seven export configs, the drawn trials 0-3 themselves:
   the ensemble X, the projection Y, and every receiver's transfer
   matrix G and observation block;
 - the export_results CSV of the ten trial records of the m2=50 cell of
