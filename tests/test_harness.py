@@ -126,6 +126,15 @@ class TestRunTrial:
         with pytest.raises(ValueError, match=f"unknown {key} '{value}'"):
             small_cfg(**{key: value})
 
+    @pytest.mark.parametrize("prob", [math.nan, math.inf, 0.2, 1.5], ids=["nan", "inf", "low", "high"])
+    def test_connect_prob_outside_range_rejected(self, prob, monkeypatch):
+        # the connect probability is a harness constant now, so the range check an example1
+        # trial meets is build_example_topology's; with NaN and no check, example1 would draw
+        # no edge: all-zero transfer matrices and a "converged" failed trial
+        monkeypatch.setattr(csnc.harness, "CONNECT_PROB", prob)
+        with pytest.raises(ValueError, match="connect_prob"):
+            run_trial(small_cfg(network_mode="example1", m=24), 0)
+
 
 class TestBuildTrial:
     def test_run_trial_scores_the_built_trial(self):
