@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="experiment config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--output", help="output file path")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
@@ -236,9 +236,11 @@ def dispatch(args, log=None) -> int:
             total_right += rep.violations_right
             total_skip += rep.membership_skipped
             worst = min(worst, rep.worst_margin)
-        print(f"triples={args.triples} vectors={args.vectors} "
-              f"violations_left={total_left} violations_right={total_right} "
-              f"membership_skipped={total_skip} worst_margin={worst:.3g}")
+        totals = {"triples": args.triples, "vectors": args.vectors, "violations_left": total_left,
+                  "violations_right": total_right, "membership_skipped": total_skip, "worst_margin": f"{worst:.3g}"}
+        print(" ".join(f"{key}={value}" for key, value in totals.items()))
+        if out:
+            harness.write_summary(out, totals)
         return EXIT_OK if total_left == 0 and total_right == 0 else EXIT_FAIL
 
     if verb == "sweep":

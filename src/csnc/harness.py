@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ValueError("example1 mode requires m2 <= m")
         if self.network_mode == "identity" and self.m2 != p.N:
             raise ValueError("identity network mode requires m2 == N")
+        if self.projection_family == "identity" and self.m1 != p.n:
+            raise ValueError("identity projection requires m1 == n")
 
 
 @dataclass
@@ -176,14 +178,10 @@ def build_trial(cfg: ExperimentConfig, index: int) -> Trial:
 
 
 def decode_trial(cfg: ExperimentConfig, trial: Trial) -> list[DecodeResult]:
-    """Pipeline step 4: the two-stage decode at every receiver, scored against the truth.
-
-    The stage-1 weight is default_xi of the channel noise level sigma.
-    """
-    xi_spatial = default_xi(cfg.sigma, cfg.m2, cfg.profile.N)
+    """Pipeline step 4: the two-stage decode at every receiver, scored against the truth."""
     return [
         decode_all(
-            obs, tm.G, trial.B, trial.dicts.Psi, trial.dicts.Phi, trial.A, xi_spatial,
+            obs, tm.G, trial.B, trial.dicts.Psi, trial.dicts.Phi, trial.A, cfg.sigma,
             truth_X=trial.ens.X, proj_truth=trial.Y, debias=cfg.debias, run_temporal=cfg.stage2,
         )
         for tm, obs in zip(trial.transfers, trial.observations)
@@ -224,7 +222,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         m1=cfg.m1,
         m2=cfg.m2,
         seed=trial.seed,
-        converged=all(res.spatial_converged and res.temporal_converged for res in results),
+        converged=all(res.converged for res in results),
         timing_ms=(time.perf_counter() - t0) * 1e3,
     )
 
@@ -280,12 +278,19 @@ def theorem_budget(c, k1, k2, n, N, m, sigma, D) -> BudgetPlan:
 
 
 def naive_baseline(n, N, m, sigma, D) -> float:
-    """Network uses of the correlation-blind scheme: (nN/m) log2(sigma^2 / D), floored at 0."""
+    """Network uses of the correlation-blind scheme: (nN/m) log2(sigma^2 / D), floored at 0.
+
+    A baseline past the float range raises ValueError.
+    """
     if min(n, N, m) < 1 or not (0 < D < math.inf and 0 <= sigma < math.inf):  # also rejects NaN
         raise ValueError("need positive dimensions and finite D > 0, sigma >= 0")
-    if sigma**2 <= D:
-        return 0.0
-    return (n * N / m) * math.log2(sigma**2 / D)
+    try:
+        uses = (n * N / m) * math.log2(sigma**2 / D) if sigma**2 > D else 0.0
+    except OverflowError:  # sigma**2 or n N / m past the float range
+        uses = math.inf
+    if not math.isfinite(uses):
+        raise ValueError("the naive baseline overflows the float range")
+    return uses
 
 
 class CalibrationError(RuntimeError):

@@ -11,7 +11,7 @@ batched solves and products; a problem's path is the same to the bit
 whether it is stepped alone or in any block.  solve_lasso finishes one
 problem's path on its final active set and checks the result there: a
 solution is reported converged only when the path reached xi AND the
-KKT stationarity residual is at most 10 * tol, which makes the
+KKT stationarity residual is at most 10 * TOL, which makes the
 convergence flag a checkable certificate.  Every solution leaves
 through one solve_lasso call per problem.
 
@@ -32,6 +32,7 @@ import numpy as np
 from .mathcore import as_matrix, as_vector
 
 _LOCKSTEP = 32  # most paths lasso_paths steps at once, which bounds its working set
+TOL = 1e-8  # certificate level: a converged solve has a KKT residual of at most 10 * TOL
 
 
 @dataclass
@@ -172,7 +173,7 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     # live path i: X[i] = [lam | c | -c | coefficients of the active slots (zero past k)] moves along
     # V[i] = [1 | a | -a | -d], so one update steps them all, and one subtraction from [lam | 1]
     # gives the numerators lam -+ c and denominators 1 -+ a of the join bounds of both signs;
-    # active[i, :k] are the active columns in join order, and shut[i] is inf at them, 0 elsewhere
+    # active[i, :size[i]] are the active columns in join order, and shut[i] is inf at them, 0 elsewhere
     XV = np.empty((2, W, 1 + 3 * p))
     X, V = XV
     V[:, 0] = 1.0
@@ -186,15 +187,14 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     shut = np.empty((W, p))
     active = np.empty((W, p), dtype=np.intp)
     signs, xi = np.empty((W, p)), np.empty(W)
-    meta = np.empty((W, 3), dtype=np.intp)
-    COL, SIZE, BARRED = range(3)  # column of Z, k, column barred for this step or -1
+    col, size = np.empty(W, dtype=np.intp), np.empty(W, dtype=np.intp)  # path i's column of Z and k
+    bar = np.empty(W, dtype=np.intp)  # the column path i left on its last step, barred from this one, or -1
     slot = np.full(p, -1, dtype=np.intp)  # Gram row of column j: rows[slot[j]], once it joined a path
     rows = np.empty((min(p, 16), p))
     built = 0
     paths: list[LassoPath | None] = [None] * nb
-    nl = start = steps = 0  # live paths, next column to admit, steps the batch has taken
+    nl = steps = 0  # live paths, steps the batch has taken
     seen = -1  # the nl at which the views of the live paths were taken
-    barred = False  # whether a live path bars a column on this step
 
     def join(i, j, sign):
         nonlocal rows, built
@@ -204,166 +204,151 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
             rows[built] = D[:, j] @ D / q
             slot[j] = built
             built += 1
-        n = meta[i, SIZE]
-        active[i, n], signs[i, n], shut[i, j], meta[i, SIZE] = j, sign, np.inf, n + 1
+        n = size[i]
+        active[i, n], signs[i, n], shut[i, j], size[i] = j, sign, np.inf, n + 1
 
     def retire(done, reached):
         nonlocal nl
         for i in done:
-            n = meta[i, SIZE]
-            paths[meta[i, COL]] = LassoPath(active[i, :n].copy(), signs[i, :n].copy(), coef[i, :n].copy(),
-                                            steps, reached)
+            n = size[i]
+            paths[col[i]] = LassoPath(active[i, :n].copy(), signs[i, :n].copy(), coef[i, :n].copy(),
+                                      steps, reached)
         keep = [i for i in range(nl) if i not in done]
         nl = len(keep)
         if nl and keep[-1] >= nl:
-            for buf in (X, V, shut, active, signs, xi, meta):
+            for buf in (X, V, shut, active, signs, xi, col, size, bar):
                 buf[:nl] = buf[keep]
 
-    while True:
-        if nl == 0 or steps >= max_iter:  # the live paths, all max_iter steps in, stop at the cap
-            retire(range(nl), False)
-            if start == nb:
-                return paths
-            # admit the next batch of columns; each one's first piece joins its top column
-            stop = min(nb, start + W)
-            c0 = np.matmul(D.T, Z.T[start:stop, :, None])[:, :, 0] / q
-            top = np.abs(c0)
-            lam0 = np.maximum.reduce(top, axis=1)
-            tops, xl = lam0.tolist(), xis[start:stop].tolist()
-            if not all(map(math.isfinite, tops)):  # a non-finite entry of D or Z always shows here
-                raise ValueError("design and observations must be finite")
-            go = []
-            for g in range(stop - start):
-                if tops[g] > xl[g]:
-                    go.append(g)
-                else:  # xi is at or above lam_max: the null solution, after no step
-                    paths[start + g] = LassoPath(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), 0, True)
-            if len(go) < stop - start:
-                c0, top, lam0 = c0[go], top[go], lam0[go]
-            nl, steps = len(go), 1
-            lam[:nl], xi[:nl] = lam0, [xl[g] for g in go]
-            c2[:nl, :p] = c0
-            np.negative(c0, out=c2[:nl, p:])
-            coef[:nl] = 0.0
-            shut[:nl] = 0.0
-            for i, j in enumerate(top.argmax(axis=1).tolist()):
-                meta[i] = start + go[i], 0, -1
-                join(i, j, 1.0 if c0[i, j] > 0 else -1.0)
-            start = stop
-            continue
-        if nl != seen:  # views of the live paths
-            seen = nl
-            x, v, nd2, mv, r = X[:nl], V[:nl], ND[:, :nl], movable[:nl], ratio[:nl]
-            a, na, jb, gap, sizes = a2[:nl, :p], a2[:nl, p:], bounds[:nl, 1:p + 1], bounds[:nl, 0], meta[:nl, SIZE]
+    for start in range(0, nb, W):
+        # admit the next batch of columns; each one's first piece joins its top column
+        stop = min(nb, start + W)
+        c0 = np.matmul(D.T, Z.T[start:stop, :, None])[:, :, 0] / q
+        top = np.abs(c0)
+        lam0 = np.maximum.reduce(top, axis=1)
+        tops, xl = lam0.tolist(), xis[start:stop].tolist()
+        if not all(map(math.isfinite, tops)):  # a non-finite entry of D or Z always shows here
+            raise ValueError("design and observations must be finite")
+        go = []
+        for g in range(stop - start):
+            if tops[g] > xl[g]:
+                go.append(g)
+            else:  # xi is at or above lam_max: the null solution, after no step
+                paths[start + g] = LassoPath(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), 0, True)
+        if len(go) < stop - start:
+            c0, top, lam0 = c0[go], top[go], lam0[go]
+        nl, steps = len(go), 1
+        lam[:nl], xi[:nl] = lam0, [xl[g] for g in go]
+        c2[:nl, :p] = c0
+        np.negative(c0, out=c2[:nl, p:])
+        coef[:nl] = 0.0
+        shut[:nl] = 0.0
+        col[:nl], size[:nl], bar[:nl] = [start + g for g in go], 0, -1
+        for i, j in enumerate(top.argmax(axis=1).tolist()):
+            join(i, j, 1.0 if c0[i, j] > 0 else -1.0)
+        barring = False  # whether a live path bars a column on this step
 
-        ks = sizes.tolist()
-        kmax, kmin = max(ks), min(ks)
-        if kmin < kmax:
-            negd[:nl, :kmax] = 0.0  # -d past a path's active set stays zero
-        failed = set()
-        for n in ((kmax,) if kmin == kmax else sorted(set(ks))):
-            idx = slice(0, nl) if kmin == kmax else np.flatnonzero(sizes == n)
-            A = active[idx, :n]
-            R = slot[A]
-            H, s = rows[R[:, :, None], A[:, None, :]], signs[idx, :n]
-            try:  # numpy solves a single system faster unstacked, to the same bits
-                d = np.linalg.solve(H, s[:, :, None])[:, :, 0] if len(s) > 1 else np.linalg.solve(H[0], s[0])[None]
-            except np.linalg.LinAlgError:  # the singular systems stop their paths; the rest solve as they would
-                d = np.zeros(s.shape)
-                for g, i in enumerate(np.arange(nl)[idx].tolist()):
-                    try:
-                        d[g] = np.linalg.solve(H[g], s[g])
-                    except np.linalg.LinAlgError:
-                        failed.add(i)
-            if kmin < kmax:
+        while nl and steps < max_iter:
+            if nl != seen:  # views of the live paths
+                seen = nl
+                x, v, nd2, mv, r = X[:nl], V[:nl], ND[:, :nl], movable[:nl], ratio[:nl]
+                a, na, jb, gap, sizes = a2[:nl, :p], a2[:nl, p:], bounds[:nl, 1:p + 1], bounds[:nl, 0], size[:nl]
+
+            ks = sizes.tolist()
+            groups = sorted(set(ks))
+            kmax = groups[-1]
+            if len(groups) > 1:
+                negd[:nl, :kmax] = 0.0  # -d past a path's active set stays zero
+            failed = set()
+            for n in groups:
+                idx = slice(0, nl) if len(groups) == 1 else np.flatnonzero(sizes == n)
+                A = active[idx, :n]
+                R = slot[A]
+                H, s = rows[R[:, :, None], A[:, None, :]], signs[idx, :n]
+                try:  # numpy solves a single system faster unstacked, to the same bits
+                    d = np.linalg.solve(H, s[:, :, None])[:, :, 0] if len(s) > 1 else np.linalg.solve(H[0], s[0])[None]
+                except np.linalg.LinAlgError:  # the singular systems stop their paths; the rest solve as they would
+                    d = np.zeros(s.shape)
+                    for g, i in enumerate(np.arange(nl)[idx].tolist()):
+                        try:
+                            d[g] = np.linalg.solve(H[g], s[g])
+                        except np.linalg.LinAlgError:
+                            failed.add(i)
                 negd[idx, :n] = -d
-                a2[idx, :p] = np.matmul(d[:, None], rows[R])[:, 0]
-            else:  # one group: straight into the rows of the live paths
-                np.negative(d, out=negd[:nl, :n])
-                if nl > 1:
-                    np.matmul(d[:, None], rows[R], out=a[:, None])
-                else:
-                    np.matmul(d[0], rows[R[0]], out=a[0])
-        if failed:
-            retire(failed, False)
-            continue
+                a2[idx, :p] = np.matmul(d[:, None], rows[R])[:, 0] if len(d) > 1 else d[0] @ rows[R[0]]
+            if failed:
+                retire(failed, False)
+                continue
 
-        np.negative(a, out=na)
-        # after a step g an inactive c_j - g a_j meets lam - g or -(lam - g);
-        # one moving (almost) parallel to the bound, such as a copy of an
-        # active column, never joins, and one past it by rounding joins at once
-        np.subtract(XV[:, :nl, :1], XV[:, :nl, 1:2 * p + 1], out=nd2)
-        np.greater(nd2[1], 1e-10, out=mv)
-        r.fill(np.inf)
-        np.divide(nd2[0], nd2[1], out=r, where=mv)
-        np.minimum(r[:, :p], r[:, p:], out=jb)
-        np.maximum(jb, shut[:nl], out=jb)  # past the bound by rounding: 0; active: inf
-        if barred:
-            b = np.flatnonzero(meta[:nl, BARRED] >= 0)
-            jb[b, meta[b, BARRED]] = np.inf
-            meta[:nl, BARRED] = -1
-            barred = False
-        # coefficient i crosses zero at -coef_i / d_i when that is positive
-        ca, nd, cb = coef[:nl, :kmax], negd[:nl, :kmax], bounds[:nl, p + 1:p + 1 + kmax]
-        cb.fill(np.inf)
-        np.divide(ca, nd, out=cb, where=ca * nd > 0)
-        np.subtract(x[:, 0], xi[:nl], out=gap)
-        bl = bounds[:nl, :p + 1 + kmax]
-        e = bl.argmin(axis=1)
-        step = np.minimum.reduce(bl, axis=1)
-        w = 2 * p + 1 + kmax
-        x[:, :w] -= step[:, None] * v[:, :w]
-        steps += 1
+            np.negative(a, out=na)
+            # after a step g an inactive c_j - g a_j meets lam - g or -(lam - g);
+            # one moving (almost) parallel to the bound, such as a copy of an
+            # active column, never joins, and one past it by rounding joins at once
+            np.subtract(XV[:, :nl, :1], XV[:, :nl, 1:2 * p + 1], out=nd2)
+            np.greater(nd2[1], 1e-10, out=mv)
+            r.fill(np.inf)
+            np.divide(nd2[0], nd2[1], out=r, where=mv)
+            np.minimum(r[:, :p], r[:, p:], out=jb)
+            np.maximum(jb, shut[:nl], out=jb)  # past the bound by rounding: 0; active: inf
+            if barring:
+                b = np.flatnonzero(bar[:nl] >= 0)
+                jb[b, bar[b]] = np.inf
+                bar[:nl] = -1
+                barring = False
+            # coefficient i crosses zero at -coef_i / d_i when that is positive
+            ca, nd, cb = coef[:nl, :kmax], negd[:nl, :kmax], bounds[:nl, p + 1:p + 1 + kmax]
+            cb.fill(np.inf)
+            np.divide(ca, nd, out=cb, where=ca * nd > 0)
+            np.subtract(x[:, 0], xi[:nl], out=gap)
+            bl = bounds[:nl, :p + 1 + kmax]
+            e = bl.argmin(axis=1)
+            step = np.minimum.reduce(bl, axis=1)
+            w = 2 * p + 1 + kmax
+            x[:, :w] -= step[:, None] * v[:, :w]
+            steps += 1
 
-        hit = set()
-        for i, y in enumerate(e.tolist()):
-            if y == 0:  # reached xi
-                hit.add(i)
-            elif y <= p:  # column y - 1 joins, with the sign of the bound it met
-                join(i, y - 1, 1.0 if r[i, y - 1] <= r[i, p + y - 1] else -1.0)
-            else:  # the coefficient in slot y - p - 1 reached zero: its column leaves
-                at, n = y - p - 1, ks[i]
-                meta[i, BARRED] = active[i, at]
-                shut[i, active[i, at]] = 0.0
-                active[i, at:n - 1] = active[i, at + 1:n]
-                signs[i, at:n - 1] = signs[i, at + 1:n]
-                coef[i, at:n - 1] = coef[i, at + 1:n]
-                coef[i, n - 1] = 0.0
-                meta[i, SIZE] = n - 1
-                barred = True
-        if hit:
-            retire(hit, True)
+            hit = set()
+            for i, y in enumerate(e.tolist()):
+                if y == 0:  # reached xi
+                    hit.add(i)
+                elif y <= p:  # column y - 1 joins, with the sign of the bound it met
+                    join(i, y - 1, 1.0 if r[i, y - 1] <= r[i, p + y - 1] else -1.0)
+                else:  # the coefficient in slot y - p - 1 reached zero: its column leaves
+                    at, n = y - p - 1, ks[i]
+                    bar[i] = active[i, at]
+                    shut[i, active[i, at]] = 0.0
+                    active[i, at:n - 1] = active[i, at + 1:n]
+                    signs[i, at:n - 1] = signs[i, at + 1:n]
+                    coef[i, at:n - 1] = coef[i, at + 1:n]
+                    coef[i, n - 1] = 0.0
+                    size[i] = n - 1
+                    barring = True
+            if hit:
+                retire(hit, True)
+        retire(range(nl), False)  # the live paths, all max_iter steps in, stop at the cap
+    return paths
 
 
-def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8,
-                path: LassoPath | None = None) -> LassoSolution:
+def solve_lasso(prob: LassoProblem, path: LassoPath | None = None) -> LassoSolution:
     """Exact solve: finish prob's homotopy path on G_A and certify the result.
 
     path is prob's LassoPath from lasso_paths, which decode_spatial steps
     for a whole block of problems on one design; without it, prob's path
-    is stepped alone, capped at max_iter steps.  A path that reached xi
-    is finished by solving once more on G_A, with its final active set
-    and signs, (G_A^T G_A) y_A = G_A^T z - q xi s; the finish depends on
-    the path only through its events, so a certified solve that meets
-    the same events returns the same coefficients to the bit.
-
-    Args:
-        prob: the instance to solve.
-        max_iter: cap on path steps when path is None.
-        tol: certificate level: converged means the path reached xi
-            and kkt_check <= 10 * tol.
-        path: prob's stepped path, or None.
+    is stepped alone, capped at lasso_paths' default of 10 000 steps.  A
+    path that reached xi is finished by solving once more on G_A, with
+    its final active set and signs, (G_A^T G_A) y_A = G_A^T z - q xi s;
+    the finish depends on the path only through its events, so a
+    certified solve that meets the same events returns the same
+    coefficients to the bit.
 
     The objective and the KKT residual are computed here, from one
-    residual, so every solution's certificate is checked in this call.
-    A path that hit its cap or a singular active system, a singular
-    finish and a failed certificate each return the iterate with
+    residual, so every solution's certificate is checked in this call:
+    converged means the path reached xi and kkt_check <= 10 * TOL.  A
+    path that hit its cap or a singular active system, a singular finish
+    and a failed certificate each return the iterate with
     converged=False; none of these is an error.
     """
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     if path is None:
-        [path] = lasso_paths(prob.G, prob.z[:, None], [prob.xi], max_iter)
+        [path] = lasso_paths(prob.G, prob.z[:, None], [prob.xi])
     G, z, xi, A = prob.G, prob.z, prob.xi, path.active
     coef = np.zeros(prob.p)
     reached = path.reached
@@ -376,7 +361,7 @@ def solve_lasso(prob: LassoProblem, max_iter: int = 10_000, tol: float = 1e-8,
     if not reached:
         coef[A] = path.coef
     objective, kkt = _scores(prob, coef)
-    return LassoSolution(coef, objective, kkt, path.steps, reached and kkt <= 10.0 * tol)
+    return LassoSolution(coef, objective, kkt, path.steps, reached and kkt <= 10.0 * TOL)
 
 
 def debias_refit(prob: LassoProblem, coef) -> np.ndarray:
@@ -408,15 +393,15 @@ class DecodeResult:
     x_hat: N x n, row i = Phi @ theta_hat[i].
     per_source_distortion: length N, (1/n) ||X_i - x_hat_i||^2; None
         when no ground truth was supplied.
+    converged: every solve of both stages converged.
     """
 
     mu_hat: np.ndarray
     y_hat: np.ndarray
     theta_hat: np.ndarray
     x_hat: np.ndarray
-    per_source_distortion: np.ndarray | None = None
-    spatial_converged: bool = True
-    temporal_converged: bool = True
+    per_source_distortion: np.ndarray | None
+    converged: bool
 
 
 def decode_spatial(Z, D, xis, debias=True):
@@ -448,37 +433,26 @@ def decode_spatial(Z, D, xis, debias=True):
 decode_temporal = decode_spatial
 
 
-def decode_all(
-    receiver_obs,
-    G,
-    patterns,
-    Psi,
-    Phi,
-    A,
-    xi_spatial,
-    truth_X=None,
-    proj_truth=None,
-    debias=True,
-    run_temporal=True,
-):
+def decode_all(receiver_obs, G, B, Psi, Phi, A, sigma, truth_X=None, proj_truth=None, debias=True,
+               run_temporal=True):
     """Run both decoder stages over an m2 x m1 receiver observation block.
 
     Each design is built once and decodes its whole block in one
     decode_spatial call: the stage-1 design G diag(b_t) Psi once per run
-    of equal consecutive patterns, and the stage-2 design A Phi once for
-    all N sources.  The stage-2 weight of source i is
-    default_xi of a stage-1 error level: rms(y_hat_i - A X_i) when
-    truth_X is given, else the median stage-1 fit residual
-    rms(Z^t - G diag(b_t) y_hat^t), shared by all sources.
+    of equal consecutive rows of B, and the stage-2 design A Phi once
+    for all N sources.  The stage-1 weight is default_xi(sigma, m2, N).
+    The stage-2 weight of source i is default_xi of a stage-1 error
+    level: rms(y_hat_i - A X_i) when truth_X is given, else the median
+    stage-1 fit residual rms(Z^t - G diag(b_t) y_hat^t), shared by all
+    sources.
 
     Args:
         receiver_obs: m2 x m1 matrix, column t = the observations Z^t.
         G: m2 x N transfer matrix of this receiver.
-        patterns: length-m1 sequence of 0/1 on-off diagonals (length N),
-            such as the m1 x N matrix whose row t is pattern t.
+        B: m1 x N on-off matrix, row t = the 0/1 pattern b_t.
         Psi, Phi: spatial (N x N) and temporal (n x n) dictionaries.
         A: m1 x n projection matrix shared by all sources.
-        xi_spatial: stage-1 regularization weight.
+        sigma: the channel noise level.
         truth_X: optional N x n ground-truth sample matrix; enables the
             per-source distortion report and the truth-driven weight.
         proj_truth: optional m1 x N matrix of the true projected samples
@@ -487,52 +461,37 @@ def decode_all(
         run_temporal: skip the per-source temporal stage when False
             (stage-1 scaling experiments); theta_hat and x_hat stay zero
             and the distortion report is that of the zero reconstruction.
-
-    m1 = 0 is allowed and yields an empty result.
     """
     obs = np.asarray(receiver_obs, dtype=np.float64)
     if obs.ndim != 2:
         raise ValueError("receiver_obs must be 2-D (m2 x m1)")
-    G = as_matrix(G, "G")
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("A must be the 2-D m1 x n projection matrix")
-    Psi = as_matrix(Psi, "Psi")
-    Phi = as_matrix(Phi, "Phi")
-    N = Psi.shape[0]
-    n = Phi.shape[0]
-    m1 = obs.shape[1]
-    if len(patterns) != m1:
-        raise ValueError("need one on-off pattern per time index")
-    patterns = [as_vector(b, "pattern") for b in patterns]
-    if any(G.shape[1] != b.shape[0] or N != b.shape[0] for b in patterns):
-        raise ValueError("pattern length must match G columns and Psi rows")
+    G, B, A = as_matrix(G, "G"), as_matrix(B, "B"), as_matrix(A, "A")
+    Psi, Phi = as_matrix(Psi, "Psi"), as_matrix(Phi, "Phi")
+    (m2, N), n, m1 = G.shape, Phi.shape[0], obs.shape[1]
+    if B.shape != (m1, N) or Psi.shape[0] != N:
+        raise ValueError("B needs one pattern per time index; pattern length must match G columns and Psi rows")
     if truth_X is not None:
         truth_X = as_matrix(truth_X, "truth_X")
-    stage2 = m1 > 0 and run_temporal
-    fallback = stage2 and truth_X is None  # weight from the fit residuals
+    fallback = run_temporal and truth_X is None  # stage-2 weight from the fit residuals
 
-    mu_hat = np.zeros((N, m1))
-    y_hat = np.zeros((m1, N))
-    spatial_ok = True
-    fit_rms = []
+    xi = default_xi(sigma, m2, N)
+    mu_hat, y_hat = np.zeros((N, m1)), np.zeros((m1, N))
+    converged, fit_rms = True, []
     # a run of equal patterns shares one design, decoded as one block
-    starts = [t for t in range(m1) if t == 0 or not np.array_equal(patterns[t], patterns[t - 1])]
-    for t0, t1 in zip(starts, starts[1:] + [m1]):
-        GB = G * patterns[t0][None, :]
-        mus, sols = decode_spatial(obs[:, t0:t1], GB @ Psi, [xi_spatial] * (t1 - t0), debias=debias)
+    starts = np.flatnonzero(np.any(B[1:] != B[:-1], axis=1)) + 1
+    for t0, t1 in zip([0, *starts.tolist()], [*starts.tolist(), m1]):
+        GB = G * B[t0][None, :]
+        mus, sols = decode_spatial(obs[:, t0:t1], GB @ Psi, [xi] * (t1 - t0), debias=debias)
         for t, mu, sol in zip(range(t0, t1), mus, sols):
             yh = Psi @ mu
             mu_hat[:, t] = mu
             y_hat[t, :] = yh
-            spatial_ok = spatial_ok and sol.converged
+            converged = converged and sol.converged
             if fallback:
-                fit_rms.append(np.linalg.norm(obs[:, t] - GB @ yh) / math.sqrt(max(1, obs.shape[0])))
+                fit_rms.append(np.linalg.norm(obs[:, t] - GB @ yh) / math.sqrt(m2))
 
-    theta_hat = np.zeros((N, n))
-    x_hat = np.zeros((N, n))
-    temporal_ok = True
-    if stage2:
+    theta_hat, x_hat = np.zeros((N, n)), np.zeros((N, n))
+    if run_temporal:
         if fallback:
             xis = [default_xi(float(np.median(fit_rms)), m1, n)] * N
         else:
@@ -540,13 +499,10 @@ def decode_all(
                 proj_truth = A @ truth_X.T
             xis = [default_xi(np.linalg.norm(y_hat[:, i] - proj_truth[:, i]) / math.sqrt(m1), m1, n)
                    for i in range(N)]
-        theta_hat, sols = decode_temporal(y_hat, as_matrix(A, "A") @ Phi, xis, debias=debias)
+        theta_hat, sols = decode_temporal(y_hat, A @ Phi, xis, debias=debias)
         for i, theta in enumerate(theta_hat):
             x_hat[i] = Phi @ theta
-        temporal_ok = all(sol.converged for sol in sols)
+        converged = converged and all(sol.converged for sol in sols)
 
-    distortion = None
-    if truth_X is not None:
-        distortion = np.sum((truth_X - x_hat) ** 2, axis=1) / n
-
-    return DecodeResult(mu_hat, y_hat, theta_hat, x_hat, distortion, spatial_ok, temporal_ok)
+    distortion = None if truth_X is None else np.sum((truth_X - x_hat) ** 2, axis=1) / n
+    return DecodeResult(mu_hat, y_hat, theta_hat, x_hat, distortion, converged)

@@ -227,32 +227,34 @@ def refit(z, D, coef):
     return out
 
 
-def decode_loop(receiver_obs, G, patterns, Psi, Phi, A, xi_spatial, truth_X=None, proj_truth=None,
+def decode_loop(receiver_obs, G, B, Psi, Phi, A, sigma, truth_X=None, proj_truth=None,
                 debias=True, run_temporal=True):
     """Both decode stages one problem at a time, each building its own design.
 
-    Stage 1 solves column t of receiver_obs on G diag(b_t) Psi; stage 2 solves
-    row i of y_hat on A Phi with a per-source weight from the truth
-    residual rms(y_hat_i - A X_i) when truth_X is given, or else from the
-    median stage-1 fit residual.
+    Stage 1 solves column t of receiver_obs on G diag(B[t]) Psi with the
+    weight of the noise level sigma; stage 2 solves row i of y_hat on
+    A Phi with a per-source weight from the truth residual
+    rms(y_hat_i - A X_i) when truth_X is given, or else from the median
+    stage-1 fit residual.
     Returns (mu_hat, y_hat, theta_hat, x_hat, distortion or None,
-    spatial_ok, temporal_ok).
+    converged).
     """
     def weight(sigma, q, p):
         return max(2.0 * sigma * math.sqrt(2.0 * math.log(p) / q), 1e-12)
 
     obs = receiver_obs
     N, n, m1 = Psi.shape[0], Phi.shape[0], obs.shape[1]
+    xi_spatial = weight(sigma, G.shape[0], N)
     mu_hat, y_hat = np.zeros((N, m1)), np.zeros((m1, N))
-    spatial_ok, fit_rms = True, []
+    converged, fit_rms = True, []
     for t in range(m1):
-        b = np.asarray(patterns[t], dtype=float)
+        b = np.asarray(B[t], dtype=float)
         D = (G * b[None, :]) @ Psi
         mu, _, _, ok, _ = homotopy_path(obs[:, t], D, xi_spatial)
         if debias:
             mu = refit(obs[:, t], D, mu)
         mu_hat[:, t], y_hat[t] = mu, Psi @ mu
-        spatial_ok = spatial_ok and ok
+        converged = converged and ok
         fit_rms.append(np.linalg.norm(obs[:, t] - (G * b[None, :]) @ y_hat[t]) / math.sqrt(max(1, obs.shape[0])))
     theta_hat, x_hat = np.zeros((N, n)), np.zeros((N, n))
     residual_rms = None
@@ -262,8 +264,7 @@ def decode_loop(receiver_obs, G, patterns, Psi, Phi, A, xi_spatial, truth_X=None
         residual_rms = np.array(
             [np.linalg.norm(y_hat[:, i] - proj_truth[:, i]) / math.sqrt(max(m1, 1)) for i in range(N)]
         )
-    temporal_ok = True
-    if m1 > 0 and run_temporal:
+    if run_temporal:
         for i in range(N):
             if residual_rms is not None:
                 xi_i = weight(residual_rms[i], m1, n)
@@ -274,6 +275,6 @@ def decode_loop(receiver_obs, G, patterns, Psi, Phi, A, xi_spatial, truth_X=None
             if debias:
                 theta = refit(y_hat[:, i], D, theta)
             theta_hat[i], x_hat[i] = theta, Phi @ theta
-            temporal_ok = temporal_ok and ok
+            converged = converged and ok
     distortion = None if truth_X is None else np.sum((truth_X - x_hat) ** 2, axis=1) / n
-    return mu_hat, y_hat, theta_hat, x_hat, distortion, spatial_ok, temporal_ok
+    return mu_hat, y_hat, theta_hat, x_hat, distortion, converged

@@ -111,6 +111,13 @@ class TestBudgetVerb:
         assert "Traceback" not in captured.err and "invalid configuration" not in captured.err
         assert captured.out == ""
 
+    def test_overflowing_baseline_is_usage_error(self, capsys):
+        # the budget stays in range, but n N / m of the naive baseline leaves it
+        assert cli.main(budget_argv("--n", "1" + "0" * 400)) == 2
+        captured = capsys.readouterr()
+        assert "invalid arguments: the naive baseline overflows" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_overflowing_budget_is_usage_error(self, capsys):
         # every flag is in range, but sigma^2 leaves the float range
         assert cli.main(budget_argv("--sigma", "1e200")) == 2
@@ -231,6 +238,16 @@ class TestAnalysisVerbs:
         out = capsys.readouterr().out
         assert "violations_left=0" in out
         assert "violations_right=0" in out
+
+    def test_cascade_check_output_holds_printed_totals(self, cfg_path, tmp_path, capsys):
+        argv = ["cascade-check", "--config", cfg_path, "--triples", "3", "--vectors", "10"]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        out = str(tmp_path / "cascade.txt")
+        assert cli.main(argv + ["--output", out]) == 0
+        assert capsys.readouterr().out == printed  # stdout is unchanged by --output
+        pairs = [line.split(": ") for line in open(out).read().splitlines()]
+        assert " ".join(f"{key}={value}" for key, value in pairs) == printed.strip()
 
     @pytest.mark.parametrize("argv", [
         ["re-estimate", "--supports", "0"],

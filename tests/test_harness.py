@@ -111,6 +111,13 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             small_cfg(network_mode="example1", m=8, m2=20)  # m2 > m
 
+    def test_identity_projection_needs_m1_equal_n(self):
+        # rejected at construction, as make_projection would reject it at the first trial
+        with pytest.raises(ValueError, match="identity projection requires m1 == n"):
+            small_cfg(projection_family="identity", m1=small_cfg().profile.n - 1)
+        cfg = small_cfg(projection_family="identity", m1=small_cfg().profile.n)
+        assert build_trial(cfg, 0).A.shape == (cfg.m1, cfg.profile.n)
+
     @pytest.mark.parametrize("bad", [dict(D=math.inf), dict(sigma=math.inf), dict(sigma=math.nan)],
                              ids=["D=inf", "sigma=inf", "sigma=nan"])
     def test_non_finite_sigma_and_D_rejected(self, bad):
@@ -354,6 +361,13 @@ class TestNaiveBaseline:
     def test_direct_value(self):
         assert naive_baseline(128, 128, 32, 0.2, 0.01) == pytest.approx(512 * 2.0)
 
+    @pytest.mark.parametrize("n, sigma, D", [(10**400, 0.2, 0.01), (10**300, 1e10, 1e-300)],
+                             ids=["n-N-over-m", "product"])
+    def test_overflowing_baseline_rejected(self, n, sigma, D):
+        # n N / m leaves the float range as an integer division, or the product as a float
+        with pytest.raises(ValueError, match="overflows"):
+            naive_baseline(n, 128, 32, sigma, D)
+
     def test_ratio_against_budget_reported(self):
         base = naive_baseline(128, 128, 32, 0.2, 0.01)
         plan = theorem_budget(1.0, 4, 4, 128, 128, 32, 0.2, 0.01)
@@ -460,6 +474,14 @@ class TestSweep:
         # an integer axis used to run int(value) and record the unrounded value
         with pytest.raises(ValueError, match=f"{axis} takes integer values"):
             sweep(small_cfg(trials=2), axis, values)
+
+    def test_identity_projection_m1_axis_checked_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(csnc.harness, "run_trials", lambda cfg, *a, **kw: ran.append(cfg.m1) or [])
+        n = small_cfg().profile.n
+        with pytest.raises(ValueError, match="identity projection"):
+            sweep(small_cfg(trials=2, projection_family="identity", m1=n), "m1", [n - 2, n])
+        assert ran == []
 
     def test_every_cell_checked_before_any_trial(self, monkeypatch):
         ran = []
@@ -596,14 +618,15 @@ def configs(draw):
         m2 = N
     else:
         m2 = draw(st.integers(1, min(N, m) if mode == "example1" else N))
+    family = draw(st.sampled_from(PROJECTION_FAMILIES))
     return ExperimentConfig(
         profile=SparsityProfile(N, n, draw(st.integers(0, n)), draw(st.integers(0, N))),
-        m=m, m1=draw(st.integers(1, n)), m2=m2,
+        m=m, m1=n if family == "identity" else draw(st.integers(1, n)), m2=m2,
         sigma=draw(st.floats(0.0, 1e3)), D=draw(st.floats(1e-12, 1e3)),
         master_seed=Seed(draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**64 - 1))),
         kind_phi=draw(st.sampled_from(DICTIONARY_KINDS)), kind_psi=draw(st.sampled_from(DICTIONARY_KINDS)),
         network_mode=mode, case=draw(st.sampled_from(CASES)),
-        projection_family=draw(st.sampled_from(PROJECTION_FAMILIES)),
+        projection_family=family,
         receivers=draw(st.integers(1, 8)), trials=draw(st.integers(1, 1000)),
         redraw_b_per_t=draw(st.booleans()), debias=draw(st.booleans()), stage2=draw(st.booleans()),
     )

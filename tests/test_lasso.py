@@ -77,13 +77,14 @@ class TestSolveLasso:
         tol = 1e-8
         for seed in range(8):
             prob = random_instance(seed, q=12, p=30, sigma=0.05)
-            sol = solve_lasso(prob, tol=tol)
+            sol = solve_lasso(prob)
             assert sol.converged
             assert kkt_check(prob, sol.coef) <= 10 * tol
 
     def test_max_iter_returns_unconverged(self):
         prob = random_instance(0, q=20, p=50, sigma=0.01)
-        sol = solve_lasso(prob, max_iter=1)
+        [path] = lasso_paths(prob.G, prob.z[:, None], [prob.xi], 1)
+        sol = solve_lasso(prob, path=path)
         assert not sol.converged
 
     def test_zero_norm_columns_stay_zero(self):
@@ -106,8 +107,6 @@ class TestSolveLasso:
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
             LassoProblem(z, bad, 0.1)
-        with pytest.raises(ValueError):
-            solve_lasso(LassoProblem(z, G, 0.1), max_iter=0)
 
 
 @st.composite
@@ -144,7 +143,7 @@ class TestSolveLassoProperties:
     @given(prob=instances())
     def test_certified_solve_is_optimal(self, prob):
         tol = 1e-8
-        sol = solve_lasso(prob, tol=tol)
+        sol = solve_lasso(prob)
         assert sol.converged
         assert kkt_check(prob, sol.coef) <= 10 * tol
         _, ref_obj = projected_subgradient_lasso(prob.z, prob.G, prob.xi)
@@ -250,8 +249,8 @@ class TestDecodeSpatial:
         mu[[2, 7]] = [3.0, -2.0]
         Z = G @ (Psi @ mu)
         # decode_all builds the stage-1 design of an all-on pattern as G Psi
-        got = decode_all(Z[:, None], G, [np.ones(N)], Psi, np.eye(4), np.eye(4), 1e-6, run_temporal=False)
-        prob = LassoProblem(Z, G @ Psi, 1e-6)
+        got = decode_all(Z[:, None], G, np.ones((1, N)), Psi, np.eye(4), np.eye(4), 0.0, run_temporal=False)
+        prob = LassoProblem(Z, G @ Psi, default_xi(0.0, m2, N))
         refit = debias_refit(prob, solve_lasso(prob).coef)
         assert np.allclose(got.mu_hat[:, 0], refit, atol=1e-10)
         assert np.allclose(got.y_hat[0], Psi @ refit, atol=1e-10)
@@ -304,25 +303,25 @@ class TestDecodeAll:
         A = make_projection(m1, n, "gaussian", s.child(3))
         Y = temporal_project(ens, A)
         tm = direct_transfer_matrix(m2, N, s.child(4))
-        pats = [draw_onoff(N, 1.0, s.child(5, t).rng()) for t in range(m1)]
+        B = np.array([draw_onoff(N, 1.0, s.child(5, t).rng()) for t in range(m1)])
         obs = np.column_stack(
-            [transmit(tm, pats[t], Y[t], sigma, s.child(6, t).rng()) for t in range(m1)]
+            [transmit(tm, B[t], Y[t], sigma, s.child(6, t).rng()) for t in range(m1)]
         )
-        return ens, dicts, A, Y, tm, pats, obs
+        return ens, dicts, A, Y, tm, B, obs
 
     def test_noiseless_end_to_end(self):
-        ens, dicts, A, Y, tm, pats, obs = self._small_setup()
+        ens, dicts, A, Y, tm, B, obs = self._small_setup()
         res = decode_all(
-            obs, tm.G, pats, dicts.Psi, dicts.Phi, A,
-            xi_spatial=1e-7, truth_X=ens.X, proj_truth=Y,
+            obs, tm.G, B, dicts.Psi, dicts.Phi, A,
+            sigma=0.0, truth_X=ens.X, proj_truth=Y,
         )
         assert np.all(res.per_source_distortion < 1e-4)
 
     def test_result_internal_consistency(self):
-        ens, dicts, A, Y, tm, pats, obs = self._small_setup(sigma=0.05)
+        ens, dicts, A, Y, tm, B, obs = self._small_setup(sigma=0.05)
         res = decode_all(
-            obs, tm.G, pats, dicts.Psi, dicts.Phi, A,
-            xi_spatial=0.05, truth_X=ens.X, proj_truth=Y,
+            obs, tm.G, B, dicts.Psi, dicts.Phi, A,
+            sigma=0.05, truth_X=ens.X, proj_truth=Y,
         )
         # y_hat rows are Psi mu_hat columns; x_hat rows are Phi theta_hat rows
         for t in range(Y.shape[0]):
@@ -331,28 +330,20 @@ class TestDecodeAll:
             assert np.allclose(res.x_hat[i], dicts.Phi @ res.theta_hat[i], atol=1e-10)
 
     def test_per_source_projection_list_rejected(self):
-        ens, dicts, A, Y, tm, pats, obs = self._small_setup()
+        ens, dicts, A, Y, tm, B, obs = self._small_setup()
         with pytest.raises(ValueError):
             decode_all(
-                obs, tm.G, pats, dicts.Psi, dicts.Phi, [A] * 24,
-                xi_spatial=0.1, truth_X=ens.X,
+                obs, tm.G, B, dicts.Psi, dicts.Phi, [A] * 24,
+                sigma=0.1, truth_X=ens.X,
             )
-
-    def test_empty_when_m1_zero(self):
-        ens, dicts, A, Y, tm, pats, obs = self._small_setup()
-        res = decode_all(
-            obs[:, :0], tm.G, [], dicts.Psi, dicts.Phi, A, xi_spatial=0.1,
-        )
-        assert res.mu_hat.shape[1] == 0 and res.y_hat.shape[0] == 0
-        assert np.all(res.x_hat == 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="pattern length"):
-            decode_all(np.zeros((3, 1)), np.zeros((3, 4)), [np.ones(5)], np.eye(4), np.eye(2), np.eye(2), 0.1)
+            decode_all(np.zeros((3, 1)), np.zeros((3, 4)), np.ones((1, 5)), np.eye(4), np.eye(2), np.eye(2), 0.1)
 
     def test_distortion_is_mean_squared_error_of_x_hat(self):
-        ens, dicts, A, Y, tm, pats, obs = self._small_setup(sigma=0.05)
-        args = (obs, tm.G, pats, dicts.Psi, dicts.Phi, A, 0.05)
+        ens, dicts, A, Y, tm, B, obs = self._small_setup(sigma=0.05)
+        args = (obs, tm.G, B, dicts.Psi, dicts.Phi, A, 0.05)
         res = decode_all(*args, truth_X=ens.X, proj_truth=Y)
         want = np.sum((ens.X - res.x_hat) ** 2, axis=1) / ens.X.shape[1]
         assert np.any(want > 0) and same_bits(res.per_source_distortion, want)
@@ -381,19 +372,17 @@ def path_instances(draw):
     )
 
 
-PATTERN_KINDS = ["all-on", "redrawn", "case1-sparseB", "shared", "runs", "stacked"]
+PATTERN_KINDS = ["all-on", "redrawn", "case1-sparseB", "shared", "runs"]
 
 
 @st.composite
 def decode_inputs(draw):
-    """One receiver's observation block under each kind of on-off pattern sequence.
+    """One receiver's observation block under each kind of on-off matrix B, row t = pattern t.
 
-    all-on: every pattern all ones (case 2), each its own array; redrawn:
+    all-on: every pattern all ones (case 2), each drawn on its own; redrawn:
     Bernoulli(1/2) per time index; case1-sparseB: Bernoulli(m2/N) per
-    time index; shared: one Bernoulli(m2/N) pattern object reused at every
-    time index; runs: equal copies of two patterns in random runs;
-    stacked: Bernoulli(1/2) per time index, as one m1 x N array whose
-    row t is pattern t, the form a Trial holds.
+    time index; shared: one Bernoulli(m2/N) pattern at every time index;
+    runs: copies of two patterns in random runs.
     """
     s = Seed(draw(st.integers(0, 2**32 - 1)))
     N, n = draw(st.integers(3, 14)), draw(st.integers(3, 12))
@@ -406,21 +395,17 @@ def decode_inputs(draw):
     Y = temporal_project(ens, A)
     tm = direct_transfer_matrix(m2, N, s.child(4))
     if kind == "shared":
-        pats = [draw_onoff(N, m2 / N, s.child(5, 0).rng())] * m1
+        B = np.tile(draw_onoff(N, m2 / N, s.child(5, 0).rng()), (m1, 1))
     elif kind == "runs":
         two = [draw_onoff(N, 0.5, s.child(5, r).rng()) for r in range(2)]
-        runs = draw(st.lists(st.integers(0, 1), min_size=m1, max_size=m1))
-        pats = [two[r].copy() for r in runs]
+        B = np.array([two[r] for r in draw(st.lists(st.integers(0, 1), min_size=m1, max_size=m1))])
     else:
-        prob = {"all-on": 1.0, "redrawn": 0.5, "case1-sparseB": m2 / N, "stacked": 0.5}[kind]
-        pats = [draw_onoff(N, prob, s.child(5, t).rng()) for t in range(m1)]
-        if kind == "stacked":
-            pats = np.array(pats)
-    obs = np.column_stack([transmit(tm, pats[t], Y[t], sigma, s.child(6, t).rng()) for t in range(m1)])
+        prob = {"all-on": 1.0, "redrawn": 0.5, "case1-sparseB": m2 / N}[kind]
+        B = np.array([draw_onoff(N, prob, s.child(5, t).rng()) for t in range(m1)])
+    obs = np.column_stack([transmit(tm, B[t], Y[t], sigma, s.child(6, t).rng()) for t in range(m1)])
     truth = draw(st.sampled_from(["none", "truth", "truth+projection"]))
     return dict(
-        receiver_obs=obs, G=tm.G, patterns=pats, Psi=dicts.Psi, Phi=dicts.Phi, A=A,
-        xi_spatial=default_xi(0.05, m2, N),
+        receiver_obs=obs, G=tm.G, B=B, Psi=dicts.Psi, Phi=dicts.Phi, A=A, sigma=0.05,
         truth_X=None if truth == "none" else ens.X,
         proj_truth=Y if truth == "truth+projection" else None,
         debias=draw(st.booleans()),
@@ -450,7 +435,7 @@ def assert_matches_reference(z, G, xi, duplicate=False, max_iter=10_000):
     to the same bits; a path both stop at the cap, an iterate that is
     never scored, agrees to 1e-12 of its peak.
     """
-    sol = solve_lasso(LassoProblem(z, G, xi), max_iter=max_iter)
+    sol = solve_lasso(LassoProblem(z, G, xi), path=lasso_paths(G, z[:, None], [xi], max_iter)[0])
     coef, steps, drops, converged, _ = oracles.homotopy_path(z, G, xi, max_iter=max_iter)
     assert sol.converged == converged
     got, ref = folded(sol.coef, duplicate), folded(coef, duplicate)
@@ -540,7 +525,7 @@ class TestMatchesPerProblemLoop:
         ref = oracles.decode_loop(**inputs)
         got = (res.mu_hat, res.y_hat, res.theta_hat, res.x_hat, res.per_source_distortion)
         assert all(same_bits(a, b) for a, b in zip(got, ref[:5]))
-        assert (res.spatial_converged, res.temporal_converged) == ref[5:]
+        assert res.converged == ref[5]
 
 
 @st.composite

@@ -1,0 +1,37 @@
+"""Every csnc name the benchmark in perfbench/ wraps still exists.
+
+An untraced benchmark run looks up only the names its checks need; the
+layer boundaries a traced run (--trace 1) wraps are looked up only then.
+This test makes every wrap perfbench/run.py makes: its two capture
+wraps, each workload's own wraps (made when the workload is built) and
+probe.install's layer wraps.  A rename or a dropped import in csnc that
+would break a traced run fails here.  Nothing under perfbench/ changes.
+"""
+
+import sys
+from pathlib import Path
+
+import csnc
+import csnc.cli  # noqa: F401
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import probe as perfbench_probe  # noqa: E402
+import workloads  # noqa: E402
+
+MODULES = ("mathcore", "harness", "lasso", "netsim", "re_analysis", "cli")
+
+
+def test_every_wrapped_name_exists(tmp_path):
+    before = {name: dict(vars(getattr(csnc, name))) for name in MODULES}
+    probe = perfbench_probe.Probe(tracing=True)
+    try:
+        probe.wrap(csnc.lasso, "solve_lasso", "lasso.solve_lasso", after=probe.capture_solve)
+        probe.wrap(csnc.harness, "decode_all", "lasso.decode_all", after=probe.capture_decode)
+        for workload in workloads.WORKLOADS.values():
+            workload(probe, csnc, 0, str(tmp_path))
+        perfbench_probe.install(probe, {name: getattr(csnc, name) for name in MODULES})
+        assert csnc.lasso.solve_lasso is not before["lasso"]["solve_lasso"]
+    finally:
+        probe.restore()
+    for name, attrs in before.items():  # every wrap is undone
+        assert all(vars(getattr(csnc, name))[attr] is fn for attr, fn in attrs.items())
