@@ -225,13 +225,9 @@ def dispatch(args, log=None) -> int:
         worst = float("inf")
         for i in range(args.triples):
             s = rng_seed.child(i)
-            G = s.child(0).rng().normal(size=(cfg.m2, p.N))
-            C1 = np.eye(cfg.m2) + 0.2 * s.child(1).rng().normal(size=(cfg.m2, cfg.m2)) / np.sqrt(cfg.m2)
-            # C2 perturbation kept small so cone membership passes often
-            C2 = np.eye(p.N) + 0.05 * s.child(2).rng().normal(size=(p.N, p.N)) / np.sqrt(p.N)
-            support = tuple(np.sort(s.child(3).rng().choice(p.N, size=p.k2, replace=False)))
-            spec = re_analysis.ConeSpec(p.N, support, 1.0)
-            rep = re_analysis.cascade_check(G, C1, C2, spec, args.vectors, s.child(4))
+            G, C1, C2, support = re_analysis.cascade_triple(s, cfg.m2, p.N, p.k2)
+            rep = re_analysis.cascade_check(G, C1, C2, re_analysis.ConeSpec(p.N, support, 1.0), args.vectors,
+                                            s.child(4))
             total_left += rep.violations_left
             total_right += rep.violations_right
             total_skip += rep.membership_skipped

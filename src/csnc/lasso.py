@@ -7,25 +7,29 @@ The solver minimizes
 exactly, by following its piecewise-linear solution path from the null
 solution down to the weight xi (homotopy).  lasso_paths steps the paths
 of a whole block of problems that share one design in lockstep, with
-batched solves and products; a problem's path is the same to the bit
-whether it is stepped alone or in any block.  solve_lasso finishes one
-problem's path on its final active set and checks the result there: a
-solution is reported converged only when the path reached xi AND the
-KKT stationarity residual is at most 10 * TOL, which makes the
-convergence flag a checkable certificate.  Every solution leaves
-through one solve_lasso call per problem.
+batched solves and products over the rows of the design's Gram matrix
+H = (1/q) G^T G; a problem's path is the same to the bit whether it is
+stepped alone or in any block.  Every path that reached xi is then
+finished on its final active set A from the same Gram rows, by solving
+H_AA y = c0_A - xi s with c0 = (1/q) G^T z, one batched solve per
+active-set size.  solve_lasso is the one exit per problem: it scores
+the finished path and checks the result, and a solution is reported
+converged only when the path reached xi AND the KKT stationarity
+residual is at most 10 * TOL, which makes the convergence flag a
+checkable certificate.
 
 On top of the solver sit the two decoding stages of the pipeline: a
 spatial decode per time index (design G B Psi) and a temporal decode
 per source (design A Phi), one stage function that decodes a block of
-columns on one prebuilt design, plus decode_all, which builds a
-receiver's designs once and decodes each design's whole block at once.
+columns on one prebuilt design and refits the block's supports with
+one debias_refit call, plus decode_all, which builds a receiver's
+designs once and decodes each design's whole block at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +37,9 @@ from .mathcore import as_matrix, as_vector
 
 _LOCKSTEP = 32  # most paths lasso_paths steps at once, which bounds its working set
 TOL = 1e-8  # certificate level: a converged solve has a KKT residual of at most 10 * TOL
+# debias_refit solves the normal equations H_SS x = c0_S, whose relative error grows like
+# cond(H_SS) * eps, against lstsq's sqrt(cond(H_SS)) * eps; above this bound it keeps lstsq
+COND_MAX = 1e4
 
 
 @dataclass
@@ -55,6 +62,13 @@ class LassoProblem:
             raise ValueError("observation length must match design rows")
         if not self.xi > 0:
             raise ValueError("xi must be positive")
+
+    @classmethod
+    def _checked(cls, z, G, xi):
+        """A problem of a block whose checks have already passed, as lasso_paths checks decode_spatial's."""
+        prob = cls.__new__(cls)
+        prob.z, prob.G, prob.xi = z, G, xi
+        return prob
 
     @property
     def q(self) -> int:
@@ -110,15 +124,64 @@ def default_xi(sigma_hat: float, q: int, p: int) -> float:
     return max(2.0 * sigma_hat * math.sqrt(2.0 * math.log(p) / q), 1e-12)
 
 
+class _Gram:
+    """The rows D[:, j] @ D of a design's Gram matrix, each built once, the first time it is needed.
+
+    The rows are q H_j, unscaled: dividing by q first would round, and
+    then not even a least-squares problem on identity columns would be
+    solved exactly.  A row's bits do not depend on which others exist.
+    """
+
+    def __init__(self, D):
+        self.D, p = D, D.shape[1]
+        self.slot = np.full(p, -1, dtype=np.intp)  # row of column j: rows[slot[j]], once built
+        self.rows = np.empty((min(p, 16), p))
+        self.built = 0
+
+    def add(self, j):
+        if self.slot[j] < 0:
+            if self.built == self.rows.shape[0]:
+                self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])[:self.D.shape[1]]
+            self.rows[self.built] = self.D[:, j] @ self.D
+            self.slot[j] = self.built
+            self.built += 1
+
+    def blocks(self, A):
+        """D_A^T D_A for each row A of the n x k index array A, as one n x k x k array."""
+        R = self.slot[A]
+        if R.min() < 0:
+            for j in np.unique(A[R < 0]).tolist():
+                self.add(j)
+            R = self.slot[A]
+        return self.rows[R[:, :, None], A[:, None, :]]
+
+
+def _correlations(D, Z):
+    """Row b: D^T Z_b, for every column of Z, in one batched product.
+
+    The columns are read from a contiguous copy of Z^T, so each row has
+    the bits of D.T @ z for its column z alone, whatever block or memory
+    layout it came in (a strided z rounds differently).
+    """
+    return np.matmul(D.T, np.ascontiguousarray(Z.T)[:, :, None])[:, :, 0]
+
+
 @dataclass
 class LassoPath:
-    """Where one homotopy path stopped: its active columns in join order, their signs and iterate."""
+    """Where one homotopy path stopped: its active columns in join order, their signs and coefficients.
+
+    coef is the iterate, or once finish_paths has finished the path, the
+    solution at xi.  gram is the Gram rows of the design, shared by every
+    path of one lasso_paths call.
+    """
 
     active: np.ndarray
     signs: np.ndarray
     coef: np.ndarray  # coefficients of the active columns
     steps: int
     reached: bool  # the path reached xi
+    gram: _Gram = field(repr=False, compare=False)
+    finished: bool = False
 
 
 def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
@@ -145,16 +208,20 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     the same number of steps, so one check stops them all at max_iter.
     The live paths of a batch are kept compacted at the front of
     buffers reused for the whole call.  A step makes one
-    batched np.linalg.solve of the active blocks H_AA, and one batched
-    product d H_A over the Gram rows of the active columns, per
-    active-set size among the live paths: padding the smaller blocks
-    into one solve would change their bits.  The Gram row
-    H_j = (1/q) D_j^T D of a column is built the first time it joins any
-    path and is then shared.  The bounds of every event are arrays
+    batched np.linalg.solve of the active blocks, and one batched
+    product over the Gram rows of the active columns, per active-set
+    size among the live paths: padding the smaller blocks into one solve
+    would change their bits.  Both use the unscaled rows D_j^T D = q H_j
+    (see _Gram): d = q (D_A^T D_A)^{-1} s and a = (d / q) D_A^T D.  The
+    Gram row of a column is built the first time it joins any path and
+    is then shared, also with the finish and the refit through the
+    paths' gram.  The bounds of every event are arrays
     over the live paths, one argmin finds each path's first event, and
     one update moves every path's lam, correlations and coefficients.
-    No value of one path enters another's arithmetic, so a column's path
-    is the same to the bit in whatever batch it is stepped.
+    No value of one path enters another's arithmetic, and the
+    correlations are taken from a contiguous copy of Z^T, so a column's
+    path is the same to the bit in whatever batch, and from whatever
+    memory layout, it is stepped.
     """
     D, Z = np.asarray(D, dtype=np.float64), np.asarray(Z, dtype=np.float64)
     if D.ndim != 2 or Z.ndim != 2 or D.size == 0 or Z.size == 0:
@@ -189,21 +256,14 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     signs, xi = np.empty((W, p)), np.empty(W)
     col, size = np.empty(W, dtype=np.intp), np.empty(W, dtype=np.intp)  # path i's column of Z and k
     bar = np.empty(W, dtype=np.intp)  # the column path i left on its last step, barred from this one, or -1
-    slot = np.full(p, -1, dtype=np.intp)  # Gram row of column j: rows[slot[j]], once it joined a path
-    rows = np.empty((min(p, 16), p))
-    built = 0
+    gram = _Gram(D)  # the row of a column is built when it first joins a path
+    slot = gram.slot
     paths: list[LassoPath | None] = [None] * nb
     nl = steps = 0  # live paths, steps the batch has taken
     seen = -1  # the nl at which the views of the live paths were taken
 
     def join(i, j, sign):
-        nonlocal rows, built
-        if slot[j] < 0:
-            if built == rows.shape[0]:
-                rows = np.concatenate([rows, np.empty_like(rows)])[:p]
-            rows[built] = D[:, j] @ D / q
-            slot[j] = built
-            built += 1
+        gram.add(j)
         n = size[i]
         active[i, n], signs[i, n], shut[i, j], size[i] = j, sign, np.inf, n + 1
 
@@ -212,7 +272,7 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
         for i in done:
             n = size[i]
             paths[col[i]] = LassoPath(active[i, :n].copy(), signs[i, :n].copy(), coef[i, :n].copy(),
-                                      steps, reached)
+                                      steps, reached, gram)
         keep = [i for i in range(nl) if i not in done]
         nl = len(keep)
         if nl and keep[-1] >= nl:
@@ -222,7 +282,7 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     for start in range(0, nb, W):
         # admit the next batch of columns; each one's first piece joins its top column
         stop = min(nb, start + W)
-        c0 = np.matmul(D.T, Z.T[start:stop, :, None])[:, :, 0] / q
+        c0 = _correlations(D, Z[:, start:stop]) / q
         top = np.abs(c0)
         lam0 = np.maximum.reduce(top, axis=1)
         tops, xl = lam0.tolist(), xis[start:stop].tolist()
@@ -233,7 +293,7 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
             if tops[g] > xl[g]:
                 go.append(g)
             else:  # xi is at or above lam_max: the null solution, after no step
-                paths[start + g] = LassoPath(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), 0, True)
+                paths[start + g] = LassoPath(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), 0, True, gram)
         if len(go) < stop - start:
             c0, top, lam0 = c0[go], top[go], lam0[go]
         nl, steps = len(go), 1
@@ -259,21 +319,16 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
             if len(groups) > 1:
                 negd[:nl, :kmax] = 0.0  # -d past a path's active set stays zero
             failed = set()
+            rows = gram.rows
             for n in groups:
                 idx = slice(0, nl) if len(groups) == 1 else np.flatnonzero(sizes == n)
                 A = active[idx, :n]
                 R = slot[A]
                 H, s = rows[R[:, :, None], A[:, None, :]], signs[idx, :n]
-                try:  # numpy solves a single system faster unstacked, to the same bits
-                    d = np.linalg.solve(H, s[:, :, None])[:, :, 0] if len(s) > 1 else np.linalg.solve(H[0], s[0])[None]
-                except np.linalg.LinAlgError:  # the singular systems stop their paths; the rest solve as they would
-                    d = np.zeros(s.shape)
-                    for g, i in enumerate(np.arange(nl)[idx].tolist()):
-                        try:
-                            d[g] = np.linalg.solve(H[g], s[g])
-                        except np.linalg.LinAlgError:
-                            failed.add(i)
-                negd[idx, :n] = -d
+                d, bad = _solve_stack(H, s)
+                if bad:  # the singular systems stop their paths; the rest solve as they would
+                    failed.update(np.arange(nl)[idx][bad].tolist())
+                negd[idx, :n] = d * -q  # d = (D_A^T D_A)^-1 s = H_AA^-1 s / q
                 a2[idx, :p] = np.matmul(d[:, None], rows[R])[:, 0] if len(d) > 1 else d[0] @ rows[R[0]]
             if failed:
                 retire(failed, False)
@@ -328,17 +383,73 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     return paths
 
 
-def solve_lasso(prob: LassoProblem, path: LassoPath | None = None) -> LassoSolution:
-    """Exact solve: finish prob's homotopy path on G_A and certify the result.
+def _solve_stack(H, R):
+    """Solve H[g] y = R[g] for every g in one batched call; returns (Y, positions of singular systems).
 
-    path is prob's LassoPath from lasso_paths, which decode_spatial steps
-    for a whole block of problems on one design; without it, prob's path
-    is stepped alone, capped at lasso_paths' default of 10 000 steps.  A
-    path that reached xi is finished by solving once more on G_A, with
-    its final active set and signs, (G_A^T G_A) y_A = G_A^T z - q xi s;
-    the finish depends on the path only through its events, so a
-    certified solve that meets the same events returns the same
-    coefficients to the bit.
+    numpy solves a single system faster unstacked, to the same bits.  A
+    singular system fails the whole stack, which is then solved one
+    system at a time: each solvable one as it would be in the stack, and
+    each singular one's row of Y left zero.
+    """
+    try:
+        return (np.linalg.solve(H, R[:, :, None])[:, :, 0] if len(R) > 1 else np.linalg.solve(H[0], R[0])[None]), []
+    except np.linalg.LinAlgError:
+        Y, bad = np.zeros(R.shape), []
+        for g in range(len(R)):
+            try:
+                Y[g] = np.linalg.solve(H[g], R[g])
+            except np.linalg.LinAlgError:
+                bad.append(g)
+        return Y, bad
+
+
+def _by_size(sizes) -> list[tuple[int, np.ndarray]]:
+    """(n, positions of size n) for every size n > 0 among sizes, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for b, n in enumerate(sizes):
+        if n:
+            groups.setdefault(n, []).append(b)
+    return [(n, np.array(idx)) for n, idx in groups.items()]
+
+
+def finish_paths(paths, C0, xis) -> None:
+    """Finish, in place, every unfinished path of one lasso_paths call that reached xi.
+
+    At xi the active columns A, with signs s, satisfy H_AA y = c0_A - xi s
+    exactly (H = (1/q) D^T D, c0 = (1/q) D^T z).  The finish solves it
+    afresh, times q, from the shared Gram rows and C0[b] = D^T Z_b, one
+    batched solve per active-set size (Osborne, Presnell & Turlach 2000).
+    A singular system leaves its path with its iterate and reached=False,
+    as a singular step does; the others solve as they would alone.
+    """
+    sizes = []
+    for path in paths:
+        todo = path.reached and not path.finished
+        if todo and not len(path.active):
+            path.finished = True
+        sizes.append(len(path.active) if todo else 0)
+    for _, idx in _by_size(sizes):
+        A, s = np.array([paths[b].active for b in idx]), np.array([paths[b].signs for b in idx])
+        gram = paths[idx[0]].gram
+        qxi = gram.D.shape[0] * np.array([xis[b] for b in idx])
+        Y, bad = _solve_stack(gram.blocks(A), C0[idx[:, None], A] - qxi[:, None] * s)
+        for g, b in enumerate(idx.tolist()):
+            if g in bad:
+                paths[b].reached = False
+            else:
+                paths[b].coef, paths[b].finished = Y[g], True
+
+
+def solve_lasso(prob: LassoProblem, path: LassoPath | None = None) -> LassoSolution:
+    """Exact solve: the one exit of every problem, which certifies its finished path.
+
+    path is prob's LassoPath from lasso_paths; decode_spatial steps and
+    finishes a whole block's paths, then calls this once per problem.
+    Without path, prob's path is stepped alone, capped at lasso_paths'
+    default of 10 000 steps.  An unfinished path that reached xi is
+    finished here, on a copy, as a block of one: the finish depends on
+    the path only through its events, so a certified solve that meets
+    the same events returns the same bits alone or in a block.
 
     The objective and the KKT residual are computed here, from one
     residual, so every solution's certificate is checked in this call:
@@ -349,37 +460,54 @@ def solve_lasso(prob: LassoProblem, path: LassoPath | None = None) -> LassoSolut
     """
     if path is None:
         [path] = lasso_paths(prob.G, prob.z[:, None], [prob.xi])
-    G, z, xi, A = prob.G, prob.z, prob.xi, path.active
+    if path.reached and not path.finished:
+        path = replace(path)
+        finish_paths([path], _correlations(path.gram.D, prob.z[:, None]), [prob.xi])
     coef = np.zeros(prob.p)
-    reached = path.reached
-    if reached:
-        GA = G[:, A]
-        try:
-            coef[A] = np.linalg.solve(GA.T @ GA, GA.T @ z - prob.q * xi * path.signs)
-        except np.linalg.LinAlgError:
-            reached = False
-    if not reached:
-        coef[A] = path.coef
+    coef[path.active] = path.coef
     objective, kkt = _scores(prob, coef)
-    return LassoSolution(coef, objective, kkt, path.steps, reached and kkt <= 10.0 * TOL)
+    return LassoSolution(coef, objective, kkt, path.steps, path.reached and kkt <= 10.0 * TOL)
 
 
-def debias_refit(prob: LassoProblem, coef) -> np.ndarray:
-    """Least-squares refit of coef on its recovered support in prob.
+def debias_refit(D, Z, coefs, gram: _Gram | None = None, C0=None) -> np.ndarray:
+    """Least-squares refit of each row of coefs on its recovered support; one call refits a block.
 
-    The nonzero coordinates are refit by unregularized least squares on
-    the corresponding columns of prob.G against prob.z; the rest are set
-    to exactly zero.  Removes the l1 shrinkage bias.  LassoProblem has
-    checked G and z already, and coef is a solve's length-p vector.
-    Refit values below 1e-12 of the peak are numerical zeros (columns
-    the least squares assigned only float dust) and are cleared.
+    Row b of the B x p array coefs was recovered from column b of the
+    q x B block Z on the design D.  Its nonzero coordinates S are refit
+    by unregularized least squares on D_S against Z_b, which removes the
+    l1 shrinkage bias, and the rest are set to exactly zero.  The refit
+    solves D_S^T D_S x = D_S^T Z_b, one batched solve per support size,
+    from gram (the Gram rows lasso_paths' paths carry) and C0 (row b:
+    D^T Z_b), built here when omitted.  A system that is singular, or
+    whose condition number (by np.linalg.eigvalsh) is above COND_MAX,
+    keeps np.linalg.lstsq on D_S.  Refit values below 1e-12 of a row's
+    peak are float dust and are cleared.  No row enters another's
+    arithmetic, so a row's refit is the same to the bit in any block.
     """
-    out = np.zeros_like(coef)
-    S = np.flatnonzero(coef)
-    if S.size:
-        sol, *_ = np.linalg.lstsq(prob.G[:, S], prob.z, rcond=None)
-        sol[np.abs(sol) < 1e-12 * np.max(np.abs(sol), initial=0.0)] = 0.0
-        out[S] = sol
+    D, Z = np.asarray(D, dtype=np.float64), np.asarray(Z, dtype=np.float64)
+    gram = _Gram(D) if gram is None else gram
+    on = np.asarray(coefs) != 0
+    out = np.zeros(on.shape)
+    groups = _by_size(on.sum(axis=1).tolist())
+    if groups and C0 is None:
+        C0 = _correlations(D, Z)
+    for n, idx in groups:
+        S, rows = np.nonzero(on[idx])[1].reshape(len(idx), n), idx[:, None]
+        H = gram.blocks(S)
+        lam = np.linalg.eigvalsh(H)  # ascending, so cond(H_SS) = lam[:, -1] / lam[:, 0]
+        ok = (lam[:, 0] > 0) & (lam[:, -1] <= COND_MAX * lam[:, 0])
+        if ok.all():
+            X, bad = _solve_stack(H, C0[rows, S])
+        else:
+            fit, X, bad = np.flatnonzero(ok), np.zeros(S.shape), np.flatnonzero(~ok).tolist()
+            if len(fit):
+                X[fit], singular = _solve_stack(H[fit], C0[rows[fit], S[fit]])
+                bad += fit[singular].tolist()
+        for g in bad:
+            X[g], *_ = np.linalg.lstsq(D[:, S[g]], Z[:, idx[g]], rcond=None)
+        size = np.abs(X)
+        X[size < 1e-12 * size.max(axis=1, keepdims=True)] = 0.0
+        out[rows, S] = X
     return out
 
 
@@ -415,19 +543,19 @@ def decode_spatial(Z, D, xis, debias=True):
     the same function, decodes the columns y_hat_i of the stage-1
     estimate on A Phi, giving theta; direct_recovery_trial decodes one
     column on a bare transfer matrix.  lasso_paths steps the block's
-    paths together; then, column by column, solve_lasso finishes and
-    certifies each path and, when debias, debias_refit refits its
-    recovered support, both called through this module's names.
+    paths together and finish_paths finishes them; solve_lasso then
+    certifies each problem, one call per column (its problem unchecked
+    again: lasso_paths checked the block), and, when debias, one
+    debias_refit call refits the block.  Both are called through this
+    module's names.
     """
-    Z = np.asarray(Z, dtype=np.float64)
+    D, Z = np.asarray(D, dtype=np.float64), np.asarray(Z, dtype=np.float64)
     paths = lasso_paths(D, Z, xis)
-    coefs, sols = np.empty((len(paths), np.shape(D)[1])), []
-    for b, (xi, path) in enumerate(zip(xis, paths)):
-        prob = LassoProblem(Z[:, b], D, xi)
-        sol = solve_lasso(prob, path=path)
-        coefs[b] = debias_refit(prob, sol.coef) if debias else sol.coef
-        sols.append(sol)
-    return coefs, sols
+    C0 = _correlations(D, Z)
+    finish_paths(paths, C0, xis)
+    sols = [solve_lasso(LassoProblem._checked(z, D, xi), path=path) for z, xi, path in zip(Z.T, xis, paths)]
+    coefs = np.array([sol.coef for sol in sols])
+    return (debias_refit(D, Z, coefs, paths[0].gram, C0) if debias else coefs), sols
 
 
 decode_temporal = decode_spatial

@@ -281,6 +281,22 @@ def cascade_check(
     )
 
 
+def cascade_triple(seed: Seed, q: int, p: int, k: int):
+    """One (G, C1, C2, support) triple of the cascade battery, drawn from seed's children 0-3.
+
+    G is a q x p standard normal design (child 0); C1 = I + 0.2 W1 / sqrt(q)
+    (child 1) and C2 = I + 0.05 W2 / sqrt(p) (child 2), W1 and W2 standard
+    normal, the small C2 perturbation keeping cone membership frequent;
+    the support is k distinct columns, sorted (child 3).  Child 4 is
+    left for cascade_check's cone vectors.
+    """
+    G = seed.child(0).rng().normal(size=(q, p))
+    C1 = np.eye(q) + 0.2 * seed.child(1).rng().normal(size=(q, q)) / math.sqrt(q)
+    C2 = np.eye(p) + 0.05 * seed.child(2).rng().normal(size=(p, p)) / math.sqrt(p)
+    support = tuple(np.sort(seed.child(3).rng().choice(p, size=k, replace=False)))
+    return G, C1, C2, support
+
+
 def error_bound(delta: float, gamma: float, sigma: float, k: int, p: int, q: int) -> float:
     """Recovery error ceiling (delta / gamma^2) sigma^2 k ln(p) / q."""
     if not gamma > 0:

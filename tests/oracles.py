@@ -158,11 +158,11 @@ def homotopy_path(z, G, xi, max_iter=10_000, tol=1e-8):
 
     The same path as the package's solver (Osborne, Presnell & Turlach
     2000): from the null solution at lam_max, step to the nearest event
-    (a column joins, a coefficient crosses zero) or to xi, then solve
-    once more on the final active set.  Kept as the per-step reference
-    the solver must match bit for bit.  Returns (coef, steps, drops,
-    converged, active), active being the final active columns in join
-    order.
+    (a column joins, a coefficient crosses zero) or to xi, then finish on
+    the final active set from the Gram rows (see finish).  Kept as the
+    per-step reference the solver must match bit for bit.  Returns (coef,
+    steps, drops, converged, active), active being the final active
+    columns in join order.
     """
     q, p = G.shape
     coef = np.zeros(p)
@@ -204,9 +204,8 @@ def homotopy_path(z, G, xi, max_iter=10_000, tol=1e-8):
                 active = np.delete(active, k)
                 signs = np.delete(signs, k)
                 drops += 1
-        if reached:
-            GA = G[:, active]
-            coef[active] = np.linalg.solve(GA.T @ GA, GA.T @ z - q * xi * signs)
+        if reached and len(active):
+            coef[active] = finish(z, G, xi, active, signs)
     except np.linalg.LinAlgError:
         reached = False
     g = G.T @ (G @ coef - z) / q
@@ -216,26 +215,54 @@ def homotopy_path(z, G, xi, max_iter=10_000, tol=1e-8):
     return coef, steps, drops, reached and kkt <= 10.0 * tol, active.tolist()
 
 
-def refit(z, D, coef):
-    """Least squares on coef's nonzero columns; refit values below 1e-12 of the peak are cleared."""
+def gram_block(G, cols):
+    """G_S^T G_S, each row built as G[:, j] @ G, the way the solver builds it."""
+    return np.array([G[:, j] @ G for j in cols])[:, cols]
+
+
+def correlations(G, z):
+    """G^T z from a contiguous copy of z: a strided z rounds differently."""
+    return G.T @ np.array(z, dtype=float)
+
+
+def finish(z, G, xi, active, signs):
+    """The stationarity conditions at xi on the final active set, G_A^T G_A y = G_A^T z - q xi s, solved."""
+    return np.linalg.solve(gram_block(G, active), correlations(G, z)[active] - G.shape[0] * xi * signs)
+
+
+def refit(z, D, coef, cond_max):
+    """Least squares on coef's nonzero columns S by the normal equations D_S^T D_S x = D_S^T z.
+
+    A singular D_S^T D_S, or one whose condition number (from eigvalsh) is
+    above cond_max, is refit by lstsq on D_S instead.  Refit values below
+    1e-12 of the peak are cleared.
+    """
     out = np.zeros_like(coef)
     S = np.flatnonzero(coef)
     if S.size:
-        sol, *_ = np.linalg.lstsq(D[:, S], z, rcond=None)
+        H = gram_block(D, S)
+        lam = np.linalg.eigvalsh(H)
+        try:
+            if not (lam[0] > 0 and lam[-1] <= cond_max * lam[0]):
+                raise np.linalg.LinAlgError("ill-conditioned")
+            sol = np.linalg.solve(H, correlations(D, z)[S])
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(D[:, S], z, rcond=None)
         sol[np.abs(sol) < 1e-12 * np.max(np.abs(sol), initial=0.0)] = 0.0
         out[S] = sol
     return out
 
 
 def decode_loop(receiver_obs, G, B, Psi, Phi, A, sigma, truth_X=None, proj_truth=None,
-                debias=True, run_temporal=True):
+                debias=True, run_temporal=True, cond_max=1e4):
     """Both decode stages one problem at a time, each building its own design.
 
     Stage 1 solves column t of receiver_obs on G diag(B[t]) Psi with the
     weight of the noise level sigma; stage 2 solves row i of y_hat on
     A Phi with a per-source weight from the truth residual
     rms(y_hat_i - A X_i) when truth_X is given, or else from the median
-    stage-1 fit residual.
+    stage-1 fit residual.  With debias, each solution is refit on its
+    support (see refit, whose lstsq bound is cond_max).
     Returns (mu_hat, y_hat, theta_hat, x_hat, distortion or None,
     converged).
     """
@@ -252,7 +279,7 @@ def decode_loop(receiver_obs, G, B, Psi, Phi, A, sigma, truth_X=None, proj_truth
         D = (G * b[None, :]) @ Psi
         mu, _, _, ok, _ = homotopy_path(obs[:, t], D, xi_spatial)
         if debias:
-            mu = refit(obs[:, t], D, mu)
+            mu = refit(obs[:, t], D, mu, cond_max)
         mu_hat[:, t], y_hat[t] = mu, Psi @ mu
         converged = converged and ok
         fit_rms.append(np.linalg.norm(obs[:, t] - (G * b[None, :]) @ y_hat[t]) / math.sqrt(max(1, obs.shape[0])))
@@ -273,7 +300,7 @@ def decode_loop(receiver_obs, G, B, Psi, Phi, A, sigma, truth_X=None, proj_truth
             D = A @ Phi
             theta, _, _, ok, _ = homotopy_path(y_hat[:, i], D, xi_i)
             if debias:
-                theta = refit(y_hat[:, i], D, theta)
+                theta = refit(y_hat[:, i], D, theta, cond_max)
             theta_hat[i], x_hat[i] = theta, Phi @ theta
             converged = converged and ok
     distortion = None if truth_X is None else np.sum((truth_X - x_hat) ** 2, axis=1) / n

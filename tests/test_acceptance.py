@@ -25,7 +25,7 @@ from csnc.harness import (
 from csnc.lasso import LassoProblem, kkt_check, solve_lasso
 from csnc.mathcore import Seed, matrix_rank
 from csnc.netsim import build_example_topology, derive_transfer_matrix
-from csnc.re_analysis import ConeSpec, cascade_check
+from csnc.re_analysis import ConeSpec, cascade_check, cascade_triple
 from csnc.sources import SparsityProfile, generate_ensemble, make_dictionary_pair, verify_assumption
 
 from oracles import orthonormal_design, projected_subgradient_lasso
@@ -182,10 +182,7 @@ class TestAcceptance:
         worst = math.inf
         for i in range(200):
             s = MASTER.child(5, i)
-            G = s.child(0).rng().normal(size=(q, p))
-            C1 = np.eye(q) + 0.2 * s.child(1).rng().normal(size=(q, q)) / math.sqrt(q)
-            C2 = np.eye(p) + 0.05 * s.child(2).rng().normal(size=(p, p)) / math.sqrt(p)
-            support = tuple(np.sort(s.child(3).rng().choice(p, k, replace=False)))
+            G, C1, C2, support = cascade_triple(s, q, p, k)
             rep = cascade_check(G, C1, C2, ConeSpec(p, support, 1.0), 100, s.child(4))
             left += rep.violations_left
             right += rep.violations_right

@@ -219,10 +219,13 @@ class TestTracedNames:
 
     @pytest.mark.parametrize("debias", [True, False])
     def test_trial_refits_through_debias_refit(self, monkeypatch, debias):
+        # one refit of the whole block per decode stage call
         calls = self.count_calls(monkeypatch, csnc.lasso, "debias_refit")
+        stages = [self.count_calls(monkeypatch, csnc.lasso, name) for name in ("decode_spatial", "decode_temporal")]
         cfg = small_cfg(receivers=2, debias=debias)
         run_trial(cfg, 0)
-        assert len(calls) == (cfg.receivers * (cfg.m1 + cfg.profile.N) if debias else 0)
+        assert len(stages[1]) == cfg.receivers and len(stages[0]) >= cfg.receivers
+        assert len(calls) == (len(stages[0]) + len(stages[1]) if debias else 0)
 
     def test_direct_recovery_decodes_through_harness_name(self, monkeypatch):
         calls = self.count_calls(monkeypatch, csnc.harness, "decode_spatial")

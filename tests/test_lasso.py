@@ -199,13 +199,13 @@ class TestDebiasRefit:
         coef[[1, 4]] = [2.0, -3.0]
         z = G @ coef
         rough = coef + np.where(coef != 0, 0.05, 0.0)
-        refit = debias_refit(LassoProblem(z, G, 1.0), rough)
+        [refit] = debias_refit(G, z[:, None], rough[None])
         assert np.allclose(refit, coef, atol=1e-10)
 
     def test_empty_support(self):
         G = np.eye(4)
-        out = debias_refit(LassoProblem(np.ones(4), G, 1.0), np.zeros(4))
-        assert np.all(out == 0.0)
+        out = debias_refit(G, np.ones((4, 1)), np.zeros((1, 4)))
+        assert out.shape == (1, 4) and np.all(out == 0.0)
 
 
 class TestDecodeSpatial:
@@ -251,7 +251,7 @@ class TestDecodeSpatial:
         # decode_all builds the stage-1 design of an all-on pattern as G Psi
         got = decode_all(Z[:, None], G, np.ones((1, N)), Psi, np.eye(4), np.eye(4), 0.0, run_temporal=False)
         prob = LassoProblem(Z, G @ Psi, default_xi(0.0, m2, N))
-        refit = debias_refit(prob, solve_lasso(prob).coef)
+        [refit] = debias_refit(prob.G, Z[:, None], solve_lasso(prob).coef[None])
         assert np.allclose(got.mu_hat[:, 0], refit, atol=1e-10)
         assert np.allclose(got.y_hat[0], Psi @ refit, atol=1e-10)
 
@@ -432,16 +432,24 @@ def assert_matches_reference(z, G, xi, duplicate=False, max_iter=10_000):
     """solve_lasso against oracles.homotopy_path; returns the reference's (steps, drops).
 
     The certificates always agree.  A certified path takes the same steps
-    to the same bits; a path both stop at the cap, an iterate that is
-    never scored, agrees to 1e-12 of its peak.
+    to the same bits; where the copy of column 0 joined in its place, the
+    finish reads the same system from other positions of the Gram rows
+    and correlations, which may round differently, and agrees to
+    100 eps cond(G_A^T G_A) of its peak.  A path both stop at the cap, an
+    iterate that is never scored, agrees to 1e-12 of its peak.
     """
-    sol = solve_lasso(LassoProblem(z, G, xi), path=lasso_paths(G, z[:, None], [xi], max_iter)[0])
-    coef, steps, drops, converged, _ = oracles.homotopy_path(z, G, xi, max_iter=max_iter)
+    path = lasso_paths(G, z[:, None], [xi], max_iter)[0]
+    sol = solve_lasso(LassoProblem(z, G, xi), path=path)
+    coef, steps, drops, converged, active = oracles.homotopy_path(z, G, xi, max_iter=max_iter)
     assert sol.converged == converged
     got, ref = folded(sol.coef, duplicate), folded(coef, duplicate)
     if converged:
         assert sol.iterations == steps
-        assert same_bits(got, ref)
+        if path.active.tolist() == active:
+            assert same_bits(got, ref)
+        else:
+            cond = np.linalg.cond(oracles.gram_block(G, active))
+            assert np.max(np.abs(got - ref)) <= 100 * np.finfo(float).eps * cond * np.max(np.abs(ref))
     elif sol.iterations == steps == max_iter:
         peak = max(np.max(np.abs(ref)), np.max(np.abs(got)))
         assert np.max(np.abs(got - ref)) <= 1e-12 * peak
@@ -596,7 +604,7 @@ class TestLassoPaths:
         target = 3
         first = lasso_paths(G, Z[:, target:target + 1], xis[target:target + 1], 2)[0]
         A = first.active
-        block = np.array([(G[:, i] @ G / G.shape[0])[A] for i in A])
+        block = np.array([(G[:, i] @ G)[A] for i in A])
         solve = np.linalg.solve
 
         def singular_at_block(a, b):
@@ -639,6 +647,113 @@ def fixed_batch():
     return G, Z, xis
 
 
+def wide_batch():
+    """66 noisy 3-sparse columns on a 30 x 128 Gaussian design, near the acceptance config's shape and weight.
+
+    With 30 rows, a product with a strided column of a block rounds differently
+    from one with a contiguous column, so a block's layout would show.
+    """
+    rng = Seed(31).rng()
+    G = rng.normal(size=(30, 128))
+    M = np.zeros((128, 66))
+    for b in range(66):
+        M[rng.choice(128, 3, replace=False), b] = rng.uniform(1, 2, 3) * rng.choice([-1, 1], 3)
+    return G, G @ M + rng.normal(0, 0.1, (30, 66)), np.full(66, default_xi(0.1, 30, 128))
+
+
+class TestBlockExit:
+    """decode_spatial finishes and refits a column as it does the column alone, bit for bit, in any block."""
+
+    @pytest.mark.parametrize("batch", [fixed_batch, wide_batch])
+    @pytest.mark.parametrize("size", [7, 32, 33])
+    def test_block_equals_each_column_alone(self, batch, size):
+        G, Z, xis = batch()
+        # alone: a contiguous one-column block, where a block's column is strided
+        alone = [decode_spatial(Z[:, [b]], G, xis[b:b + 1]) for b in range(Z.shape[1])]
+        sizes = set()
+        for start in range(0, Z.shape[1], size):
+            coefs, sols = decode_spatial(Z[:, start:start + size], G, xis[start:start + size])
+            for b, (coef, sol) in enumerate(zip(coefs, sols), start):
+                [want], [want_sol] = alone[b]
+                assert same_bits(coef, want) and same_bits(sol.coef, want_sol.coef)
+                assert (sol.iterations, sol.converged, sol.kkt_residual) == (
+                    want_sol.iterations, want_sol.converged, want_sol.kkt_residual)
+                sizes.add(np.count_nonzero(sol.coef))
+        assert len(sizes) > 2  # blocks mix finish and refit sizes
+
+    def test_singular_finish_marks_only_its_problem(self, monkeypatch):
+        # the batched finish of one active-set size raises for the whole stack; only the singular
+        # problem keeps its iterate, unconverged, and the others finish as they do unpatched
+        G, Z, xis = fixed_batch()
+        want_coefs, want = decode_spatial(Z, G, xis, debias=False)
+        paths = lasso_paths(G, Z, xis)
+        sizes = [len(path.active) if path.reached else 0 for path in paths]
+        target = next(b for b, n in enumerate(sizes) if n and sizes.count(n) > 1)  # in a stack of its size
+        A = paths[target].active
+        block = np.array([(G[:, i] @ G)[A] for i in A])
+        step_paths, solve = csnc.lasso.lasso_paths, np.linalg.solve
+
+        def singular_at_block(a, b):
+            stack = np.asarray(a).reshape(-1, *np.shape(a)[-2:])
+            if any(m.shape == block.shape and np.array_equal(m, block) for m in stack):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        def paths_then_singular(*args, **kwargs):
+            out = step_paths(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, "solve", singular_at_block)  # from the finish on
+            return out
+
+        monkeypatch.setattr(csnc.lasso, "lasso_paths", paths_then_singular)
+        coefs, sols = decode_spatial(Z, G, xis, debias=False)
+        monkeypatch.undo()
+        iterate = np.zeros(G.shape[1])
+        iterate[A] = paths[target].coef
+        assert not sols[target].converged and same_bits(sols[target].coef, iterate)
+        assert sols[target].iterations == paths[target].steps
+        for b, (coef, sol) in enumerate(zip(coefs, sols)):
+            if b != target:
+                assert same_bits(coef, want_coefs[b]) and same_bits(sol.coef, want[b].coef)
+                assert (sol.iterations, sol.converged, sol.kkt_residual) == (
+                    want[b].iterations, want[b].converged, want[b].kkt_residual)
+        assert solve_lasso(LassoProblem(Z[:, target], G, xis[target]), path=paths[target]).converged
+
+
+class TestRefitFallback:
+    """debias_refit keeps today's lstsq for a singular or ill-conditioned D_S^T D_S."""
+
+    def test_singular_and_ill_conditioned_supports(self, monkeypatch):
+        rng = Seed(17).rng()
+        D = rng.normal(size=(20, 8))
+        D[:, 5] = D[:, 1]  # duplicated support column: D_S^T D_S singular
+        D[:, 6] = D[:, 2] + 1e-3 * rng.normal(size=20)  # near-collinear: condition number about 1e6
+        coefs = np.zeros((3, 8))
+        coefs[0, [1, 3, 5]] = 1.0
+        coefs[1, [2, 4, 6]] = 1.0
+        coefs[2, [0, 3, 7]] = 1.0  # well conditioned: the normal equations
+        Z = D @ rng.normal(size=(8, 3)) + 0.01 * rng.normal(size=(20, 3))
+        conds = [np.linalg.cond(D[:, np.flatnonzero(c)].T @ D[:, np.flatnonzero(c)]) for c in coefs]
+        assert conds[0] > 1e14 and csnc.lasso.COND_MAX < conds[1] < 1e10 and conds[2] < 100
+        calls, lstsq = [], np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        out = debias_refit(D, Z, coefs)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        for b in range(2):  # today's per-problem refit: lstsq on D_S, float dust cleared
+            S = np.flatnonzero(coefs[b])
+            sol, *_ = np.linalg.lstsq(D[:, S], Z[:, b], rcond=None)
+            sol[np.abs(sol) < 1e-12 * np.max(np.abs(sol))] = 0.0
+            assert same_bits(out[b, S], sol)
+        for b in range(3):
+            assert same_bits(out[b], oracles.refit(Z[:, b], D, coefs[b], csnc.lasso.COND_MAX))
+            assert same_bits(out[b], debias_refit(D, Z[:, [b]], coefs[b:b + 1])[0])
+
+
 class TestCertifiedByCall:
     """Every solution of a trial leaves through one csnc.lasso.solve_lasso call, where perfbench certifies it."""
 
@@ -673,5 +788,5 @@ class TestCertifiedByCall:
             wants += [(res.y_hat[:, i], res.theta_hat[i]) for i in range(cfg.profile.N)]
             for (prob, sol), (z, coef) in zip(mine, wants):
                 assert same_bits(prob.z, z)
-                assert same_bits(coef, sol.coef) or same_bits(coef, debias_refit(prob, sol.coef))
+                assert same_bits(coef, sol.coef) or same_bits(coef, debias_refit(prob.G, prob.z[:, None], sol.coef[None])[0])
                 assert type(sol.iterations) is int and sol.converged
