@@ -9,14 +9,14 @@ solution down to the weight xi (homotopy).  lasso_paths steps the paths
 of a whole block of problems that share one design in lockstep, with
 batched solves and products over the rows of the design's Gram matrix
 H = (1/q) G^T G; a problem's path is the same to the bit whether it is
-stepped alone or in any block.  Every path that reached xi is then
-finished on its final active set A from the same Gram rows, by solving
-H_AA y = c0_A - xi s with c0 = (1/q) G^T z, one batched solve per
-active-set size.  solve_lasso is the one exit per problem: it scores
-the finished path and checks the result, and a solution is reported
-converged only when the path reached xi AND the KKT stationarity
-residual is at most 10 * TOL, which makes the convergence flag a
-checkable certificate.
+stepped alone or in any block.  Before it returns, lasso_paths finishes
+every path that reached xi on its final active set A from the same Gram
+rows, by solving H_AA y = c0_A - xi s with c0 = (1/q) G^T z, one
+batched solve per active-set size.  solve_lasso is the one exit per
+problem: it scores the finished path and checks the result, and a
+solution is reported converged only when the path reached xi AND the
+KKT stationarity residual is at most 10 * TOL, which makes the
+convergence flag a checkable certificate.
 
 On top of the solver sit the two decoding stages of the pipeline: a
 spatial decode per time index (design G B Psi) and a temporal decode
@@ -29,7 +29,7 @@ designs once and decodes each design's whole block at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class LassoProblem:
 
     z: observation vector, length q.
     G: design matrix, q x p.
-    xi: regularization weight, > 0.
+    xi: regularization weight, finite and > 0.
     """
 
     z: np.ndarray
@@ -60,8 +60,8 @@ class LassoProblem:
         self.z = as_vector(self.z, "observations")
         if self.z.shape[0] != self.G.shape[0]:
             raise ValueError("observation length must match design rows")
-        if not self.xi > 0:
-            raise ValueError("xi must be positive")
+        if not 0.0 < self.xi < math.inf:  # also rejects NaN
+            raise ValueError("xi must be finite and positive")
 
     @classmethod
     def _checked(cls, z, G, xi):
@@ -117,23 +117,25 @@ def default_xi(sigma_hat: float, q: int, p: int) -> float:
 
     Floored at 1e-12 so the objective stays well-posed when sigma_hat = 0.
     """
-    if sigma_hat < 0:
-        raise ValueError("sigma_hat must be nonnegative")
+    if not 0.0 <= sigma_hat < math.inf:  # also rejects NaN
+        raise ValueError("sigma_hat must be finite and nonnegative")
     if q < 1 or p < 2:
         raise ValueError("need q >= 1 and p >= 2")
     return max(2.0 * sigma_hat * math.sqrt(2.0 * math.log(p) / q), 1e-12)
 
 
 class _Gram:
-    """The rows D[:, j] @ D of a design's Gram matrix, each built once, the first time it is needed.
+    """A block's correlations C0 (row b: D^T Z_b) and the rows D[:, j] @ D of its design's Gram matrix.
 
-    The rows are q H_j, unscaled: dividing by q first would round, and
-    then not even a least-squares problem on identity columns would be
-    solved exactly.  A row's bits do not depend on which others exist.
+    Each Gram row is built once, the first time it is needed.  The rows
+    are q H_j, unscaled: dividing by q first would round, and then not
+    even a least-squares problem on identity columns would be solved
+    exactly.  A row's bits do not depend on which others exist.
     """
 
-    def __init__(self, D):
+    def __init__(self, D, Z):
         self.D, p = D, D.shape[1]
+        self.C0 = _correlations(D, Z)
         self.slot = np.full(p, -1, dtype=np.intp)  # row of column j: rows[slot[j]], once built
         self.rows = np.empty((min(p, 16), p))
         self.built = 0
@@ -170,9 +172,9 @@ def _correlations(D, Z):
 class LassoPath:
     """Where one homotopy path stopped: its active columns in join order, their signs and coefficients.
 
-    coef is the iterate, or once finish_paths has finished the path, the
-    solution at xi.  gram is the Gram rows of the design, shared by every
-    path of one lasso_paths call.
+    coef is the solution at xi when the path reached xi, else the iterate
+    it stopped at.  gram holds the block's correlations and the Gram rows
+    of the design, shared by every path of one lasso_paths call.
     """
 
     active: np.ndarray
@@ -181,11 +183,10 @@ class LassoPath:
     steps: int
     reached: bool  # the path reached xi
     gram: _Gram = field(repr=False, compare=False)
-    finished: bool = False
 
 
 def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
-    """Step the homotopy of every column of Z on the shared design D in lockstep; one LassoPath per column.
+    """Step and finish the homotopy of every column of Z on the shared design D in lockstep; one LassoPath each.
 
     Column b's path starts from the null solution at lam_max = max|c|,
     c being the correlations (1/q) D^T Z_b.  Along each piece the active
@@ -201,7 +202,15 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     a singular active system, where it keeps the iterate and step count
     from before that step (Osborne, Presnell & Turlach 2000; Efron et
     al. 2004).  A non-finite D or Z raises ValueError: it always makes
-    a correlation non-finite.
+    a correlation non-finite.  So does an xi that is not finite and
+    positive.
+
+    A path that reached xi is then finished: at xi its active columns A,
+    with signs s, satisfy H_AA y = c0_A - xi s exactly, which is solved
+    afresh, times q, from the Gram rows and the correlations D^T Z_b,
+    one batched solve per active-set size.  A singular system leaves its
+    path with its iterate and reached=False, as a singular step does;
+    the others solve as they would alone.
 
     The columns are stepped in batches of at most _LOCKSTEP, each until
     all its paths have stopped.  Every live path of a batch has taken
@@ -214,8 +223,9 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     would change their bits.  Both use the unscaled rows D_j^T D = q H_j
     (see _Gram): d = q (D_A^T D_A)^{-1} s and a = (d / q) D_A^T D.  The
     Gram row of a column is built the first time it joins any path and
-    is then shared, also with the finish and the refit through the
-    paths' gram.  The bounds of every event are arrays
+    is then shared, also with the finish and, through the paths' gram,
+    with the refit; so are the correlations D^T Z, formed once for the
+    whole call.  The bounds of every event are arrays
     over the live paths, one argmin finds each path's first event, and
     one update moves every path's lam, correlations and coefficients.
     No value of one path enters another's arithmetic, and the
@@ -231,8 +241,8 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     xis = np.asarray(xis, dtype=np.float64)
     if Z.shape[0] != q:
         raise ValueError("observation length must match design rows")
-    if xis.shape != (nb,) or not all(xi > 0 for xi in xis.tolist()):
-        raise ValueError("need one positive xi per column")
+    if xis.shape != (nb,) or not all(0.0 < xi < math.inf for xi in xis.tolist()):  # also rejects NaN
+        raise ValueError("need one finite positive xi per column")
     if np.ndim(max_iter) != 0 or not max_iter >= 1:
         raise ValueError("max_iter must be one cap >= 1 for the whole block")
 
@@ -256,8 +266,8 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     signs, xi = np.empty((W, p)), np.empty(W)
     col, size = np.empty(W, dtype=np.intp), np.empty(W, dtype=np.intp)  # path i's column of Z and k
     bar = np.empty(W, dtype=np.intp)  # the column path i left on its last step, barred from this one, or -1
-    gram = _Gram(D)  # the row of a column is built when it first joins a path
-    slot = gram.slot
+    gram = _Gram(D, Z)  # the row of a column is built when it first joins a path
+    slot, C0 = gram.slot, gram.C0
     paths: list[LassoPath | None] = [None] * nb
     nl = steps = 0  # live paths, steps the batch has taken
     seen = -1  # the nl at which the views of the live paths were taken
@@ -282,7 +292,7 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     for start in range(0, nb, W):
         # admit the next batch of columns; each one's first piece joins its top column
         stop = min(nb, start + W)
-        c0 = _correlations(D, Z[:, start:stop]) / q
+        c0 = C0[start:stop] / q
         top = np.abs(c0)
         lam0 = np.maximum.reduce(top, axis=1)
         tops, xl = lam0.tolist(), xis[start:stop].tolist()
@@ -380,6 +390,15 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
             if hit:
                 retire(hit, True)
         retire(range(nl), False)  # the live paths, all max_iter steps in, stop at the cap
+
+    for _, idx in _by_size([len(path.active) if path.reached else 0 for path in paths]):
+        A, s = np.array([paths[b].active for b in idx]), np.array([paths[b].signs for b in idx])
+        Y, bad = _solve_stack(gram.blocks(A), C0[idx[:, None], A] - q * xis[idx, None] * s)
+        for g, b in enumerate(idx.tolist()):
+            if g in bad:
+                paths[b].reached = False
+            else:
+                paths[b].coef = Y[g]
     return paths
 
 
@@ -412,97 +431,62 @@ def _by_size(sizes) -> list[tuple[int, np.ndarray]]:
     return [(n, np.array(idx)) for n, idx in groups.items()]
 
 
-def finish_paths(paths, C0, xis) -> None:
-    """Finish, in place, every unfinished path of one lasso_paths call that reached xi.
-
-    At xi the active columns A, with signs s, satisfy H_AA y = c0_A - xi s
-    exactly (H = (1/q) D^T D, c0 = (1/q) D^T z).  The finish solves it
-    afresh, times q, from the shared Gram rows and C0[b] = D^T Z_b, one
-    batched solve per active-set size (Osborne, Presnell & Turlach 2000).
-    A singular system leaves its path with its iterate and reached=False,
-    as a singular step does; the others solve as they would alone.
-    """
-    sizes = []
-    for path in paths:
-        todo = path.reached and not path.finished
-        if todo and not len(path.active):
-            path.finished = True
-        sizes.append(len(path.active) if todo else 0)
-    for _, idx in _by_size(sizes):
-        A, s = np.array([paths[b].active for b in idx]), np.array([paths[b].signs for b in idx])
-        gram = paths[idx[0]].gram
-        qxi = gram.D.shape[0] * np.array([xis[b] for b in idx])
-        Y, bad = _solve_stack(gram.blocks(A), C0[idx[:, None], A] - qxi[:, None] * s)
-        for g, b in enumerate(idx.tolist()):
-            if g in bad:
-                paths[b].reached = False
-            else:
-                paths[b].coef, paths[b].finished = Y[g], True
-
-
 def solve_lasso(prob: LassoProblem, path: LassoPath | None = None) -> LassoSolution:
-    """Exact solve: the one exit of every problem, which certifies its finished path.
+    """Exact solve: the one exit of every problem, which scores and certifies its finished path.
 
     path is prob's LassoPath from lasso_paths; decode_spatial steps and
-    finishes a whole block's paths, then calls this once per problem.
-    Without path, prob's path is stepped alone, capped at lasso_paths'
-    default of 10 000 steps.  An unfinished path that reached xi is
-    finished here, on a copy, as a block of one: the finish depends on
-    the path only through its events, so a certified solve that meets
-    the same events returns the same bits alone or in a block.
+    finishes a whole block's paths in one lasso_paths call, then calls
+    this once per problem.  Without path, prob's path is stepped and
+    finished alone, capped at lasso_paths' default of 10 000 steps; a
+    path's bits do not depend on its block, so a bare call returns the
+    same bits as a block's.
 
     The objective and the KKT residual are computed here, from one
     residual, so every solution's certificate is checked in this call:
     converged means the path reached xi and kkt_check <= 10 * TOL.  A
-    path that hit its cap or a singular active system, a singular finish
-    and a failed certificate each return the iterate with
-    converged=False; none of these is an error.
+    path that hit its cap, a singular active system or a singular
+    finish, and a failed certificate, each return the path's
+    coefficients with converged=False; none of these is an error.
     """
     if path is None:
         [path] = lasso_paths(prob.G, prob.z[:, None], [prob.xi])
-    if path.reached and not path.finished:
-        path = replace(path)
-        finish_paths([path], _correlations(path.gram.D, prob.z[:, None]), [prob.xi])
     coef = np.zeros(prob.p)
     coef[path.active] = path.coef
     objective, kkt = _scores(prob, coef)
     return LassoSolution(coef, objective, kkt, path.steps, path.reached and kkt <= 10.0 * TOL)
 
 
-def debias_refit(D, Z, coefs, gram: _Gram | None = None, C0=None) -> np.ndarray:
+def debias_refit(D, Z, coefs, gram: _Gram | None = None) -> np.ndarray:
     """Least-squares refit of each row of coefs on its recovered support; one call refits a block.
 
     Row b of the B x p array coefs was recovered from column b of the
-    q x B block Z on the design D.  Its nonzero coordinates S are refit
-    by unregularized least squares on D_S against Z_b, which removes the
-    l1 shrinkage bias, and the rest are set to exactly zero.  The refit
-    solves D_S^T D_S x = D_S^T Z_b, one batched solve per support size,
-    from gram (the Gram rows lasso_paths' paths carry) and C0 (row b:
-    D^T Z_b), built here when omitted.  A system that is singular, or
-    whose condition number (by np.linalg.eigvalsh) is above COND_MAX,
-    keeps np.linalg.lstsq on D_S.  Refit values below 1e-12 of a row's
+    q x B block Z on the design D; any other shape of coefs raises
+    ValueError.  Its nonzero coordinates S are refit by unregularized
+    least squares on D_S against Z_b, which removes the l1 shrinkage
+    bias, and the rest are set to exactly zero.  The refit solves
+    D_S^T D_S x = D_S^T Z_b, one batched solve per support size, from
+    gram: the correlations D^T Z and the Gram rows that the paths of a
+    lasso_paths call on the same D and Z carry, built here when omitted.
+    A system that is singular, or whose condition number (by
+    np.linalg.eigvalsh) is above COND_MAX, keeps np.linalg.lstsq on D_S.  Refit values below 1e-12 of a row's
     peak are float dust and are cleared.  No row enters another's
     arithmetic, so a row's refit is the same to the bit in any block.
     """
     D, Z = np.asarray(D, dtype=np.float64), np.asarray(Z, dtype=np.float64)
-    gram = _Gram(D) if gram is None else gram
     on = np.asarray(coefs) != 0
+    if D.ndim != 2 or Z.ndim != 2 or on.shape != (Z.shape[1], D.shape[1]):
+        raise ValueError("coefs must hold one row per column of Z and one column per column of D")
+    gram = _Gram(D, Z) if gram is None else gram
     out = np.zeros(on.shape)
-    groups = _by_size(on.sum(axis=1).tolist())
-    if groups and C0 is None:
-        C0 = _correlations(D, Z)
-    for n, idx in groups:
+    for n, idx in _by_size(on.sum(axis=1).tolist()):
         S, rows = np.nonzero(on[idx])[1].reshape(len(idx), n), idx[:, None]
         H = gram.blocks(S)
         lam = np.linalg.eigvalsh(H)  # ascending, so cond(H_SS) = lam[:, -1] / lam[:, 0]
         ok = (lam[:, 0] > 0) & (lam[:, -1] <= COND_MAX * lam[:, 0])
-        if ok.all():
-            X, bad = _solve_stack(H, C0[rows, S])
-        else:
-            fit, X, bad = np.flatnonzero(ok), np.zeros(S.shape), np.flatnonzero(~ok).tolist()
-            if len(fit):
-                X[fit], singular = _solve_stack(H[fit], C0[rows[fit], S[fit]])
-                bad += fit[singular].tolist()
+        fit, X, bad = np.flatnonzero(ok), np.zeros(S.shape), np.flatnonzero(~ok).tolist()
+        if len(fit):
+            X[fit], singular = _solve_stack(H[fit], gram.C0[rows[fit], S[fit]])
+            bad += fit[singular].tolist()
         for g in bad:
             X[g], *_ = np.linalg.lstsq(D[:, S[g]], Z[:, idx[g]], rcond=None)
         size = np.abs(X)
@@ -542,20 +526,18 @@ def decode_spatial(Z, D, xis, debias=True):
     patterns on G diag(b_t) Psi, giving mu; stage 2, decode_temporal,
     the same function, decodes the columns y_hat_i of the stage-1
     estimate on A Phi, giving theta; direct_recovery_trial decodes one
-    column on a bare transfer matrix.  lasso_paths steps the block's
-    paths together and finish_paths finishes them; solve_lasso then
-    certifies each problem, one call per column (its problem unchecked
-    again: lasso_paths checked the block), and, when debias, one
-    debias_refit call refits the block.  Both are called through this
-    module's names.
+    column on a bare transfer matrix.  One lasso_paths call steps and
+    finishes the block's paths; solve_lasso then certifies each problem,
+    one call per column (its problem unchecked again: lasso_paths
+    checked the block), and, when debias, one debias_refit call refits
+    the block from the paths' correlations and Gram rows.  Both are
+    called through this module's names.
     """
     D, Z = np.asarray(D, dtype=np.float64), np.asarray(Z, dtype=np.float64)
     paths = lasso_paths(D, Z, xis)
-    C0 = _correlations(D, Z)
-    finish_paths(paths, C0, xis)
     sols = [solve_lasso(LassoProblem._checked(z, D, xi), path=path) for z, xi, path in zip(Z.T, xis, paths)]
     coefs = np.array([sol.coef for sol in sols])
-    return (debias_refit(D, Z, coefs, paths[0].gram, C0) if debias else coefs), sols
+    return (debias_refit(D, Z, coefs, paths[0].gram) if debias else coefs), sols
 
 
 decode_temporal = decode_spatial

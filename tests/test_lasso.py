@@ -99,8 +99,9 @@ class TestSolveLasso:
         rng = Seed(0).rng()
         G = rng.normal(size=(4, 6))
         z = rng.normal(size=4)
-        with pytest.raises(ValueError):
-            LassoProblem(z, G, 0.0)
+        for xi in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="xi"):
+                LassoProblem(z, G, xi)
         with pytest.raises(ValueError):
             LassoProblem(z[:3], G, 0.1)
         bad = G.copy()
@@ -185,8 +186,9 @@ class TestDefaultXi:
         assert a / b == pytest.approx(math.sqrt(2), rel=1e-12)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            default_xi(-1.0, 10, 10)
+        for sigma_hat in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma_hat"):
+                default_xi(sigma_hat, 10, 10)
         with pytest.raises(ValueError):
             default_xi(1.0, 0, 10)
 
@@ -206,6 +208,13 @@ class TestDebiasRefit:
         G = np.eye(4)
         out = debias_refit(G, np.ones((4, 1)), np.zeros((1, 4)))
         assert out.shape == (1, 4) and np.all(out == 0.0)
+
+    def test_coefs_must_match_the_block(self):
+        # one row per column of Z, one column per column of D: nothing else is refit
+        D, Z = Seed(14).rng().normal(size=(10, 8)), np.ones((10, 2))
+        for coefs in (np.ones((2, 7)), np.ones((3, 8)), np.ones((1, 8)), np.ones(8)):
+            with pytest.raises(ValueError, match="coefs"):
+                debias_refit(D, Z, coefs)
 
 
 class TestDecodeSpatial:
@@ -340,6 +349,13 @@ class TestDecodeAll:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="pattern length"):
             decode_all(np.zeros((3, 1)), np.zeros((3, 4)), np.ones((1, 5)), np.eye(4), np.eye(2), np.eye(2), 0.1)
+
+    def test_non_finite_sigma(self):
+        # an infinite noise level would give an infinite weight and an all-zero decode
+        ens, dicts, A, Y, tm, B, obs = self._small_setup()
+        for sigma in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma_hat"):
+                decode_all(obs, tm.G, B, dicts.Psi, dicts.Phi, A, sigma)
 
     def test_distortion_is_mean_squared_error_of_x_hat(self):
         ens, dicts, A, Y, tm, B, obs = self._small_setup(sigma=0.05)
@@ -575,6 +591,7 @@ class TestLassoPaths:
         G, Z, xis, cap, duplicate = batch
         q, p = G.shape
         paths = lasso_paths(G, Z, xis, cap)
+        uncapped = paths if cap == 10_000 else lasso_paths(G, Z, xis)
         for b, path in enumerate(paths):
             assert_same_path(path, lasso_paths(G, Z[:, b:b + 1], xis[b:b + 1], cap)[0])
             assert isinstance(path.steps, int)
@@ -584,6 +601,14 @@ class TestLassoPaths:
             assert len(set(active)) == len(active) <= q
             ref = oracles.homotopy_path(Z[:, b], G, xis[b], max_iter=cap)[4]
             assert [fold(j, p, duplicate) for j in active] == [fold(j, p, duplicate) for j in ref]
+            if path.reached and active:  # a path that reached xi comes back finished there
+                assert same_bits(path.coef, oracles.finish(Z[:, b], G, xis[b], path.active, path.signs))
+            # solve_lasso only scores and certifies: a block's path gives the bits of a bare solve
+            prob = LassoProblem(Z[:, b], G, xis[b])
+            got, want = solve_lasso(prob, path=uncapped[b]), solve_lasso(prob)
+            assert same_bits(got.coef, want.coef)
+            assert (got.objective, got.kkt_residual, got.iterations, got.converged) == (
+                want.objective, want.kkt_residual, want.iterations, want.converged)
         assert paths[-1].steps == 0 and paths[-1].reached
 
     def test_a_batch_holds_every_case(self):
@@ -630,7 +655,10 @@ class TestLassoPaths:
         G, Z, xis = fixed_batch()
         bad = G.copy()
         bad[1, 2] = np.nan
-        for args in [(bad, Z, xis), (G, Z[:-1], xis), (G, Z, xis[:-1]), (G, Z, -xis), (G, Z[:, 0], xis[:1])]:
+        infinite = xis.copy()
+        infinite[5] = np.inf
+        for args in [(bad, Z, xis), (G, Z[:-1], xis), (G, Z, xis[:-1]), (G, Z, -xis), (G, Z[:, 0], xis[:1]),
+                     (G, Z, infinite)]:
             with pytest.raises(ValueError):
                 lasso_paths(*args)
         for cap in (0, [10_000] * Z.shape[1], np.full(Z.shape[1], 5)):  # one cap per block, not per column
@@ -689,26 +717,28 @@ class TestBlockExit:
         paths = lasso_paths(G, Z, xis)
         sizes = [len(path.active) if path.reached else 0 for path in paths]
         target = next(b for b, n in enumerate(sizes) if n and sizes.count(n) > 1)  # in a stack of its size
-        A = paths[target].active
+        A, s = paths[target].active, paths[target].signs
         block = np.array([(G[:, i] @ G)[A] for i in A])
-        step_paths, solve = csnc.lasso.lasso_paths, np.linalg.solve
+        # the finish's right-hand side D_A^T z - q xi s, where a step's is the signs s
+        rhs = oracles.correlations(G, Z[:, target])[A] - G.shape[0] * xis[target] * s
+        solve = np.linalg.solve
 
-        def singular_at_block(a, b):
+        def singular_at_finish(a, b):
             stack = np.asarray(a).reshape(-1, *np.shape(a)[-2:])
-            if any(m.shape == block.shape and np.array_equal(m, block) for m in stack):
+            if any(m.shape == block.shape and np.array_equal(m, block) and np.array_equal(r, rhs)
+                   for m, r in zip(stack, np.reshape(b, (len(stack), -1)))):
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
-        def paths_then_singular(*args, **kwargs):
-            out = step_paths(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, "solve", singular_at_block)  # from the finish on
-            return out
-
-        monkeypatch.setattr(csnc.lasso, "lasso_paths", paths_then_singular)
+        # the finish runs inside lasso_paths, so the patch holds for the whole decode
+        monkeypatch.setattr(np.linalg, "solve", singular_at_finish)
         coefs, sols = decode_spatial(Z, G, xis, debias=False)
+        alone = lasso_paths(G, Z[:, [target]], xis[[target]])[0]  # the iterate, its finish singular too
         monkeypatch.undo()
+        assert not alone.reached and alone.steps == paths[target].steps and same_bits(alone.active, A)
+        assert np.allclose(alone.coef, paths[target].coef, rtol=1e-9, atol=0.0)  # the path's point at xi
         iterate = np.zeros(G.shape[1])
-        iterate[A] = paths[target].coef
+        iterate[A] = alone.coef
         assert not sols[target].converged and same_bits(sols[target].coef, iterate)
         assert sols[target].iterations == paths[target].steps
         for b, (coef, sol) in enumerate(zip(coefs, sols)):
