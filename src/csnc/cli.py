@@ -63,20 +63,18 @@ _RANGE_FLAGS = {
 }
 
 
-def _log_records(log, records) -> None:
-    if log is None:
-        return
-    for r in records:
-        log.info("trial %d: timing_ms=%.1f converged=%s max_distortion=%.6g",
-                 r.trial_index, r.timing_ms, r.converged, r.max_distortion)
+def _log_records(log: bool, records) -> None:
+    if log:
+        for r in records:
+            print(f"trial {r.trial_index}: timing_ms={r.timing_ms:.1f} converged={r.converged} "
+                  f"max_distortion={r.max_distortion:.6g}", file=sys.stderr)
 
 
-def _log_evaluations(log, evaluations) -> None:
-    if log is None:
-        return
-    rows = [f"{'c':>12} {'m1':>5} {'m2':>5} {'success':>8}"]
-    rows += [f"{c:12.6g} {m1:5d} {m2:5d} {frac:8.3f}" for c, m1, m2, frac in evaluations]
-    log.info("calibration evaluations:\n%s", "\n".join(rows))
+def _log_evaluations(log: bool, evaluations) -> None:
+    if log:
+        rows = ["calibration evaluations:", f"{'c':>12} {'m1':>5} {'m2':>5} {'success':>8}"]
+        rows += [f"{c:12.6g} {m1:5d} {m2:5d} {frac:8.3f}" for c, m1, m2, frac in evaluations]
+        print("\n".join(rows), file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,8 +135,8 @@ def _load(args) -> harness.ExperimentConfig:
     return harness.load_config(args.config, default_seed=Seed(int(env)) if env else None)
 
 
-def dispatch(args, log=None) -> int:
-    """Run the parsed verb; log, when given, receives the -v records."""
+def dispatch(args, log: bool = False) -> int:
+    """Run the parsed verb; with log (-v), the records also go to stderr."""
     verb = args.verb
 
     if verb == "budget":
@@ -294,17 +292,8 @@ def main(argv=None) -> int:
             args.values = [float(v) for v in args.values.split(",")]
         except ValueError:
             return _flag_fault("values", f"not a comma-separated list of numbers: {args.values!r}")
-    log = None
-    if getattr(args, "verbose", False):  # budget takes no -v
-        # imported here: logging adds about 0.5 MB and 5 ms to every process that imports csnc.cli
-        import logging
-
-        log = logging.getLogger(__name__)
-        handler = logging.StreamHandler(sys.stderr)
-        log.addHandler(handler)
-        log.setLevel(logging.INFO)
     try:
-        return dispatch(args, log)
+        return dispatch(args, getattr(args, "verbose", False))  # budget takes no -v
     except harness.CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -314,10 +303,6 @@ def main(argv=None) -> int:
     except ValueError as exc:  # budget reads no config: what is left is its flags' overflowing budget
         print(f"invalid {'arguments' if args.verb == 'budget' else 'configuration'}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if log is not None:
-            log.removeHandler(handler)
-            log.setLevel(logging.NOTSET)
 
 
 if __name__ == "__main__":

@@ -335,6 +335,8 @@ def calibrate_c(
     perfect first batch is accepted outright).  Log-space bisection
     stops once the bracket ratio is below CALIBRATION_RESOLUTION; if
     even c_hi fails, a CalibrationError carrying the evaluation table is raised.
+    At sigma = 0 every c gives the same floor plan, so c_lo decides, and
+    c_hi's evaluation reuses c_lo's cached batches.
     """
     if pilot_trials < 20:
         raise ValueError("need at least 20 pilot trials")
@@ -366,15 +368,6 @@ def calibrate_c(
             frac = min(frac, batch_fraction(plan, 1))
         evals.append((c, plan.m1, plan.m2, frac))
         return frac, plan
-
-    if cfg.sigma == 0.0:
-        frac, plan = success_fraction(c_lo)  # budget is 0 regardless of c
-        if passes(frac):
-            return CalibrationResult(c_lo, plan, frac, evals)
-        raise CalibrationError(
-            "noiseless budget is degenerate and the floor plan failed",
-            {"evaluations": evals, "target": target},
-        )
 
     frac_lo, plan_lo = success_fraction(c_lo)
     if passes(frac_lo):

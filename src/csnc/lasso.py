@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathcore import as_matrix, as_vector
+from .mathcore import as_matrix, as_vector, matvecs, rowdots
 
 _LOCKSTEP = 32  # most paths lasso_paths steps at once, which bounds its working set
 TOL = 1e-8  # certificate level: a converged solve has a KKT residual of at most 10 * TOL
@@ -130,12 +130,14 @@ class _Gram:
     Each Gram row is built once, the first time it is needed.  The rows
     are q H_j, unscaled: dividing by q first would round, and then not
     even a least-squares problem on identity columns would be solved
-    exactly.  A row's bits do not depend on which others exist.
+    exactly.  A row's bits do not depend on which others exist.  C0 is
+    one mathcore.matvecs product, which reads each column of Z from a
+    contiguous copy: its row b has the same bits in any block or layout.
     """
 
     def __init__(self, D, Z):
         self.D, p = D, D.shape[1]
-        self.C0 = _correlations(D, Z)
+        self.C0 = matvecs(D.T, Z.T)
         self.slot = np.full(p, -1, dtype=np.intp)  # row of column j: rows[slot[j]], once built
         self.rows = np.empty((min(p, 16), p))
         self.built = 0
@@ -156,16 +158,6 @@ class _Gram:
                 self.add(j)
             R = self.slot[A]
         return self.rows[R[:, :, None], A[:, None, :]]
-
-
-def _correlations(D, Z):
-    """Row b: D^T Z_b, for every column of Z, in one batched product.
-
-    The columns are read from a contiguous copy of Z^T, so each row has
-    the bits of D.T @ z for its column z alone, whatever block or memory
-    layout it came in (a strided z rounds differently).
-    """
-    return np.matmul(D.T, np.ascontiguousarray(Z.T)[:, :, None])[:, :, 0]
 
 
 @dataclass
@@ -554,7 +546,9 @@ def decode_all(receiver_obs, G, B, Psi, Phi, A, sigma, truth_X=None, proj_truth=
     The stage-2 weight of source i is default_xi of a stage-1 error
     level: rms(y_hat_i - A X_i) when truth_X is given, else the median
     stage-1 fit residual rms(Z^t - G diag(b_t) y_hat^t), shared by all
-    sources.
+    sources.  The syntheses y_hat^t = Psi mu^t and x_hat_i = Phi theta_i
+    and the residual norms are whole-block mathcore.matvecs and rowdots
+    products, each row rounded as its own matrix-vector or dot product.
 
     Args:
         receiver_obs: m2 x m1 matrix, column t = the observations Z^t.
@@ -592,26 +586,25 @@ def decode_all(receiver_obs, G, B, Psi, Phi, A, sigma, truth_X=None, proj_truth=
     for t0, t1 in zip([0, *starts.tolist()], [*starts.tolist(), m1]):
         GB = G * B[t0][None, :]
         mus, sols = decode_spatial(obs[:, t0:t1], GB @ Psi, [xi] * (t1 - t0), debias=debias)
-        for t, mu, sol in zip(range(t0, t1), mus, sols):
-            yh = Psi @ mu
-            mu_hat[:, t] = mu
-            y_hat[t, :] = yh
-            converged = converged and sol.converged
-            if fallback:
-                fit_rms.append(np.linalg.norm(obs[:, t] - GB @ yh) / math.sqrt(m2))
+        mu_hat[:, t0:t1] = mus.T
+        y_hat[t0:t1] = matvecs(Psi, mus)
+        converged = converged and all(sol.converged for sol in sols)
+        if fallback:
+            R = matvecs(GB, y_hat[t0:t1])
+            R -= obs[:, t0:t1].T  # in place, so row t stays contiguous: GB y_hat^t - Z^t
+            fit_rms.append(np.sqrt(rowdots(R, R)) / math.sqrt(m2))
 
     theta_hat, x_hat = np.zeros((N, n)), np.zeros((N, n))
     if run_temporal:
         if fallback:
-            xis = [default_xi(float(np.median(fit_rms)), m1, n)] * N
+            xis = [default_xi(float(np.median(np.concatenate(fit_rms))), m1, n)] * N
         else:
             if proj_truth is None:
                 proj_truth = A @ truth_X.T
-            xis = [default_xi(np.linalg.norm(y_hat[:, i] - proj_truth[:, i]) / math.sqrt(m1), m1, n)
-                   for i in range(N)]
+            R = np.ascontiguousarray((y_hat - proj_truth).T)  # row i: y_hat_i - A X_i
+            xis = [default_xi(rms, m1, n) for rms in (np.sqrt(rowdots(R, R)) / math.sqrt(m1)).tolist()]
         theta_hat, sols = decode_temporal(y_hat, A @ Phi, xis, debias=debias)
-        for i, theta in enumerate(theta_hat):
-            x_hat[i] = Phi @ theta
+        x_hat = matvecs(Phi, theta_hat)
         converged = converged and all(sol.converged for sol in sols)
 
     distortion = None if truth_X is None else np.sum((truth_X - x_hat) ** 2, axis=1) / n

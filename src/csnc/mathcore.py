@@ -100,6 +100,21 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return x
 
 
+def matvecs(M, Y) -> np.ndarray:
+    """Row i: M @ Y[i], for every row of Y, in one batched product.
+
+    The rows are read from a contiguous copy of Y, so row i has the bits
+    of M @ y for a contiguous y equal to Y[i], whatever the layout of Y
+    (a strided y can round differently).
+    """
+    return np.matmul(M, np.ascontiguousarray(Y)[:, :, None])[:, :, 0]
+
+
+def rowdots(A, B) -> np.ndarray:
+    """Row i: A[i] @ B[i], for every row pair, rounded exactly as that 1-D product."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
 def gaussian_matrix(rows: int, cols: int, stddev: float, seed: Seed) -> np.ndarray:
     """i.i.d. normal(0, stddev^2) matrix, deterministic under seed."""
     if rows < 1 or cols < 1:

@@ -16,6 +16,11 @@ cascading property of RE designs: left-multiplying by C1 can shrink
 the ratio by at most sigma_min(C1)^2, and right-multiplying by C2 by
 at most sigma_min(C2)^2 for vectors the multiplication keeps inside
 the cone.
+
+Both score a whole block of sampled vectors at once, with the batched
+products mathcore.matvecs and rowdots: each row is rounded as its own
+matrix-vector or dot product, so a vector's ratio does not depend on
+the block it was sampled in.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathcore import Seed, as_matrix, min_singular_value
+from .mathcore import Seed, as_matrix, matvecs, min_singular_value, rowdots
 
 
 @dataclass(frozen=True)
@@ -54,16 +59,6 @@ class ConeSpec:
         mask = np.ones(self.dim, dtype=bool)
         mask[list(self.support)] = False
         return np.flatnonzero(mask)
-
-
-def _rowdot(A, B) -> np.ndarray:
-    """a_i @ b_i for every row pair, rounded exactly as the 1-D product a_i @ b_i."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
-def _apply(M, Y) -> np.ndarray:
-    """M @ y for every row y of Y, rounded exactly as the matrix-vector product M @ y."""
-    return np.matmul(M, Y[:, :, None])[:, :, 0]
 
 
 def _cone_margins(Y, spec: ConeSpec) -> np.ndarray:
@@ -110,7 +105,7 @@ def sample_cone_vectors(spec: ConeSpec, seeds) -> np.ndarray:
     budget = slacks * spec.alpha * np.abs(on).sum(axis=1)
     l1 = np.abs(off).sum(axis=1)
     Y[:, comp] = off * np.divide(budget, l1, out=np.zeros_like(l1), where=l1 > 0)[:, None]
-    return Y / np.sqrt(_rowdot(Y, Y))[:, None]
+    return Y / np.sqrt(rowdots(Y, Y))[:, None]
 
 
 def sample_cone_vector(spec: ConeSpec, seed: Seed) -> np.ndarray:
@@ -138,8 +133,8 @@ class REEstimate:
 
 def _ratios(G, Y, q) -> np.ndarray:
     """(1/q) ||G y||^2 / ||y||^2 for every row y of Y."""
-    GY = _apply(G, Y)
-    return _rowdot(GY, GY) / q / _rowdot(Y, Y)
+    GY = matvecs(G, Y)
+    return rowdots(GY, GY) / q / rowdots(Y, Y)
 
 
 def estimate_re(
@@ -256,17 +251,17 @@ def cascade_check(
     gamma_S = float(np.linalg.eigvalsh(sub.T @ sub / q)[0])
 
     Y = sample_cone_vectors(spec, [seed.child(i) for i in range(num_vectors)])
-    V = _apply(C2, Y)  # the images C2 y
+    V = matvecs(C2, Y)  # the images C2 y
     members = _cone_margins(V, spec) >= 0
-    GY, GV = _apply(G, Y), _apply(G, V)
-    gy, gv, yy, vv = _rowdot(GY, GY), _rowdot(GV, GV), _rowdot(Y, Y), _rowdot(V, V)
+    GY, GV = matvecs(G, Y), matvecs(G, V)
+    gy, gv, yy, vv = rowdots(GY, GY), rowdots(GV, GV), rowdots(Y, Y), rowdots(V, V)
     counted = members & (vv > 0)
     gamma = min(gamma_S, float(np.min(gy / q / yy)),
                 float(np.min(gv[counted] / q / vv[counted], initial=math.inf)))
 
-    CGY = _apply(C1, GY)
+    CGY = matvecs(C1, GY)
     rhs = lam1**2 * gy / q
-    left = (_rowdot(CGY, CGY) / q - rhs) / np.maximum(rhs, 1e-300)
+    left = (rowdots(CGY, CGY) / q - rhs) / np.maximum(rhs, 1e-300)
     rhs = gamma * lam2**2 * yy[members]
     right = (gv[members] / q - rhs) / np.maximum(rhs, 1e-300)
     return CascadeReport(

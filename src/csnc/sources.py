@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import Seed, as_matrix, gaussian_matrix, min_singular_value
+from .mathcore import Seed, as_matrix, gaussian_matrix, matvecs, min_singular_value, rowdots
 
 DICTIONARY_KINDS = ("identity", "random-orthonormal", "discrete-cosine")
 
@@ -183,38 +183,22 @@ def verify_assumption(
     k1, k2 = ens.profile.k1, ens.profile.k2
 
     Theta = np.linalg.solve(dicts.Phi, X.T)  # column i = theta_i
-    functionals = [np.eye(n)[:, t] for t in range(n)]
-    rng = seed.rng()
-    functionals += [rng.normal(size=n) for _ in range(num_random_functionals)]
-    Amat = np.column_stack(functionals)
+    rng = seed.rng()  # column j of Amat: functional j, the n coordinate ones first
+    Amat = np.column_stack([np.eye(n)] + [rng.normal(size=n) for _ in range(num_random_functionals)])
     Mu = np.linalg.solve(dicts.Psi, X @ Amat)  # column j = mu for functional j
 
-    def _tol(coeffs):
-        if sparsity_tol is not None:
-            return sparsity_tol
-        peak = np.max(np.abs(coeffs)) if coeffs.size else 0.0
-        return 1e-8 * max(peak, 1.0)
-
     def _check(coeffs, k, originals, basis):
-        tol = _tol(coeffs)
-        ok = True
-        worst = 0.0
-        for j in range(coeffs.shape[1]):
-            c = coeffs[:, j]
-            heavy = np.abs(c) > tol
-            if np.count_nonzero(heavy) > k:
-                ok = False
-            resid = basis @ (c * ~heavy)
-            worst = max(worst, np.linalg.norm(resid) / max(1.0, np.linalg.norm(originals[:, j])))
-        return ok, worst
+        """Whether every column of coeffs has at most k heavy entries, and the worst truncation residual."""
+        tol = 1e-8 * max(float(np.abs(coeffs).max()), 1.0) if sparsity_tol is None else sparsity_tol
+        heavy = np.abs(coeffs) > tol
+        R = matvecs(basis, (coeffs * ~heavy).T)  # row j: basis @ (column j's light entries)
+        O = np.ascontiguousarray(originals.T)
+        worst = np.sqrt(rowdots(R, R)) / np.maximum(1.0, np.sqrt(rowdots(O, O)))
+        return bool(heavy.sum(axis=0).max() <= k), float(worst.max())
 
     temporal_ok, worst_t = _check(Theta, k1, X.T, dicts.Phi)
     spatial_ok, worst_s = _check(Mu, k2, X @ Amat, dicts.Psi)
     return AssumptionReport(temporal_ok, spatial_ok, max(worst_t, worst_s))
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def save_ensemble(ens: SourceEnsemble, path: str, dicts: DictionaryPair | None = None,
@@ -225,10 +209,7 @@ def save_ensemble(ens: SourceEnsemble, path: str, dicts: DictionaryPair | None =
     generating seeds when supplied, and the dictionary kinds so the
     ensemble can be reconstructed exactly (17 significant digits).
     """
-    X = ens.X
-    with open(path, "w") as fh:
-        for row in X:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    np.savetxt(path, ens.X, delimiter=",", fmt="%.17g")
     p = ens.profile
     lines = ["[ensemble]", "schema = 1",
              f"N = {p.N}", f"n = {p.n}", f"k1 = {p.k1}", f"k2 = {p.k2}",
@@ -242,7 +223,7 @@ def save_ensemble(ens: SourceEnsemble, path: str, dicts: DictionaryPair | None =
         lines += [f"dict_seed_master = {dict_seed.master}", f"dict_seed_stream = {dict_seed.stream}"]
     lines.append("[core]")
     for r in ens.row_support:
-        lines.append(" ".join(_fmt(ens.core[r, c]) for c in ens.col_support))
+        lines.append(" ".join(f"{ens.core[r, c]:.17g}" for c in ens.col_support))
     with open(path + ".meta", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

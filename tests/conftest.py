@@ -1,3 +1,9 @@
+import os
+
+# single-threaded BLAS, as the benchmark runs: set before anything imports numpy, since
+# OpenBLAS reads it once at load (on a loaded host a threaded 128 x 128 qr can take 20 ms)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import sys
 from pathlib import Path
 

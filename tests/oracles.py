@@ -305,3 +305,41 @@ def decode_loop(receiver_obs, G, B, Psi, Phi, A, sigma, truth_X=None, proj_truth
             converged = converged and ok
     distortion = None if truth_X is None else np.sum((truth_X - x_hat) ** 2, axis=1) / n
     return mu_hat, y_hat, theta_hat, x_hat, distortion, converged
+
+
+def verify_loop(X, Phi, Psi, k1, k2, sparsity_tol=None, num_random_functionals=10, seed=None):
+    """Both sparsity assumptions of X checked one coefficient vector at a time.
+
+    theta_i = Phi^{-1} X_i for every source, and mu = Psi^{-1} (X a) for
+    every coordinate functional a and num_random_functionals normal ones
+    drawn from seed's generator.  An entry is heavy above sparsity_tol
+    (default 1e-8 times the largest magnitude of its family, at least
+    1e-8).  Returns (temporal_ok, spatial_ok, worst_residual), the worst
+    relative residual of a family's vectors with their heavy entries
+    dropped.
+    """
+    N, n = X.shape
+    Theta = np.linalg.solve(Phi, X.T)
+    rng = seed.rng()
+    Amat = np.column_stack([np.eye(n)[:, t] for t in range(n)]
+                           + [rng.normal(size=n) for _ in range(num_random_functionals)])
+    Mu = np.linalg.solve(Psi, X @ Amat)
+
+    def check(coeffs, k, originals, basis):
+        if sparsity_tol is not None:
+            tol = sparsity_tol
+        else:
+            tol = 1e-8 * max(np.max(np.abs(coeffs)), 1.0)
+        ok, worst = True, 0.0
+        for j in range(coeffs.shape[1]):
+            c = coeffs[:, j]
+            heavy = np.abs(c) > tol
+            if np.count_nonzero(heavy) > k:
+                ok = False
+            resid = basis @ (c * ~heavy)
+            worst = max(worst, np.linalg.norm(resid) / max(1.0, np.linalg.norm(originals[:, j])))
+        return ok, worst
+
+    temporal_ok, worst_t = check(Theta, k1, X.T, Phi)
+    spatial_ok, worst_s = check(Mu, k2, X @ Amat, Psi)
+    return temporal_ok, spatial_ok, max(worst_t, worst_s)

@@ -398,6 +398,20 @@ class TestCalibrate:
         assert res.success_fraction == 1.0
         assert (res.plan.m1, res.plan.m2) == (2, 2)
 
+    def test_noiseless_failing_floor_plan_runs_one_batch(self, monkeypatch):
+        # sigma = 0 gives the floor plan (7, 7) for every c: c_hi reuses c_lo's cached batch
+        cfg = ExperimentConfig(
+            profile=SparsityProfile(N=16, n=12, k1=6, k2=6),
+            m=4, m1=2, m2=2, sigma=0.0, D=1e-9, master_seed=Seed(1), trials=4,
+        )
+        calls = []
+        run_trial = csnc.harness.run_trial
+        monkeypatch.setattr(csnc.harness, "run_trial", lambda c, i: calls.append(i) or run_trial(c, i))
+        with pytest.raises(CalibrationError, match=r"no c <= 1e\+06 reaches a 90% pilot success rate") as err:
+            calibrate_c(cfg, pilot_trials=20)
+        assert err.value.diagnostics["evaluations"] == [(1e-3, 7, 7, 0.0), (1e6, 7, 7, 0.0)]
+        assert calls == list(range(20))
+
     def test_determinism(self):
         cfg = self._cfg()
         a = calibrate_c(cfg, pilot_trials=20, c_lo=0.05, c_hi=100.0)

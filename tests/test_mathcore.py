@@ -6,8 +6,10 @@ from csnc.mathcore import (
     Seed,
     gaussian_matrix,
     matrix_rank,
+    matvecs,
     min_singular_value,
     rademacher_matrix,
+    rowdots,
     singular_values,
 )
 
@@ -168,3 +170,30 @@ class TestMatrixRank:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             matrix_rank(np.eye(2), tol=0.0)
+
+
+def _layouts(rows, cols, seed):
+    """A rows x cols block with entries over six decades, C-contiguous, transposed (Z.T) and column-sliced."""
+    rng = Seed(seed).rng()
+    Z = rng.normal(size=(cols, rows)) * 10.0 ** rng.uniform(-3, 3, size=(cols, rows))
+    W = rng.normal(size=(rows, 2 * cols)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 2 * cols))
+    return {"contiguous": np.ascontiguousarray(Z.T), "transposed": Z.T, "column-sliced": W[:, ::2]}
+
+
+class TestBatchedProducts:
+    """Each row of a batched product has the bits of its own 1-D product, in every memory layout."""
+
+    @pytest.mark.parametrize("cols", [3, 17, 64, 129])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "column-sliced"])
+    def test_matvecs_matches_matrix_vector_loop(self, cols, layout):
+        Y = _layouts(40, cols, cols)[layout]
+        for M in _layouts(50, cols, cols + 1).values():
+            expected = np.array([M @ np.array(y) for y in Y])  # each y read contiguously
+            assert np.array_equal(matvecs(M, Y), expected)
+
+    @pytest.mark.parametrize("cols", [3, 17, 64, 129])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "column-sliced"])
+    def test_rowdots_matches_dot_loop(self, cols, layout):
+        A, B = _layouts(40, cols, cols)[layout], _layouts(40, cols, cols + 2)[layout]
+        assert np.array_equal(rowdots(A, B), np.array([a @ b for a, b in zip(A, B)]))
+        assert np.array_equal(rowdots(A, A), np.array([a @ a for a in A]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import csnc.mathcore
+import oracles
 from csnc.mathcore import Seed, singular_values
 from csnc.sources import (
     DictionaryPair,
@@ -168,7 +169,38 @@ class TestVerifyAssumption:
             assert set(heavy) <= set(ens.row_support)
 
 
+class TestVerifyMatchesColumnLoop:
+    """verify_assumption's batched check gives the bits of the one-vector-at-a-time oracle."""
+
+    @pytest.mark.parametrize("sparsity_tol", [None, 1e-8, 1e-3], ids=["default", "1e-8", "1e-3"])
+    @pytest.mark.parametrize("broken", [False, True], ids=["sparse", "broken"])
+    @pytest.mark.parametrize("kind", ["random-orthonormal", "discrete-cosine"])
+    def test_flags_and_residual(self, sparsity_tol, broken, kind):
+        flags = set()
+        for i in range(4):
+            dicts = make_dictionary_pair(kind, kind, 10, 16, Seed(70 + i))
+            ens = generate_ensemble(SparsityProfile(16, 10, 3, 2), dicts, (1, 2), Seed(80 + i))
+            if broken:  # dense perturbations of mixed size break both assumptions
+                noise = Seed(90 + i).rng().normal(size=ens.X.shape)
+                ens.X = ens.X + noise * 10.0 ** np.linspace(-6, -1, ens.X.size).reshape(ens.X.shape)
+            seed = Seed(100 + i)
+            report = verify_assumption(ens, dicts, sparsity_tol, num_random_functionals=7, seed=seed)
+            expected = oracles.verify_loop(ens.X, dicts.Phi, dicts.Psi, 3, 2, sparsity_tol, 7, seed)
+            assert (report.temporal_ok, report.spatial_ok, report.worst_residual) == expected
+            flags.add((report.temporal_ok, report.spatial_ok))
+        assert flags == ({(False, False)} if broken else {(True, True)})
+
+
 class TestEnsembleIO:
+    def test_csv_bytes_match_reference_writer(self, tmp_path):
+        dicts = small_pair(N=9, n=7, seed=5)
+        ens = generate_ensemble(SparsityProfile(9, 7, 3, 2), dicts, (1, 2), Seed(6))
+        ens.X[0, :3] = [-0.0, 1e-300, -123456789.0]  # a signed zero, a tiny value and a large integral one
+        path = tmp_path / "ens.csv"
+        save_ensemble(ens, str(path))
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in ens.X)
+        assert path.read_bytes() == expected.encode()
+
     def test_round_trip_exact(self, tmp_path):
         dicts = small_pair(N=9, n=7, seed=3)
         ens = generate_ensemble(SparsityProfile(9, 7, 3, 2), dicts, (1, 2), Seed(8))
