@@ -31,7 +31,7 @@ def main():
     dicts = make_dictionary_pair("random-orthonormal", "random-orthonormal", n, N, seed.child(1))
     ens = generate_ensemble(SparsityProfile(N, n, 3, 3), dicts, (1.0, 2.0), seed.child(2))
 
-    A = make_projection(m1, n, "gaussian", seed.child(3))
+    A = make_projection(m1, n, seed.child(3))
     Y = temporal_project(ens, A)
     print(f"projected {n}-sample sources down to m1={m1}: Y is {Y.shape[0]} x {Y.shape[1]}")
 

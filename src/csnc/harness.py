@@ -38,7 +38,7 @@ from .netsim import (
     network_uses,
     transmit,
 )
-from .precoder import PROJECTION_FAMILIES, draw_onoff, make_projection, temporal_project
+from .precoder import draw_onoff, make_projection, temporal_project
 from .sources import (
     DICTIONARY_KINDS,
     DictionaryPair,
@@ -48,7 +48,7 @@ from .sources import (
     make_dictionary_pair,
 )
 
-NETWORK_MODES = ("direct", "example1", "identity")
+NETWORK_MODES = ("direct", "example1")
 CASES = ("case1-sparseB", "case2-denseB")
 AMP_RANGE = (8.0, 16.0)  # magnitude range of the nonzero core entries of every ensemble
 CONNECT_PROB = 1.0 / 3.0  # example1: each source feeds each intermediate with this probability
@@ -57,7 +57,7 @@ COEFF_FAMILY = "rademacher"  # example1: first-layer coding coefficients
 # substream tags
 _TRIAL, _DICTS, _ENSEMBLE, _PROJ, _TOPO, _TRANSFER, _PATTERN, _NOISE, _PILOT = range(1, 10)
 
-CONFIG_SCHEMA_VERSION = 3
+CONFIG_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -75,10 +75,8 @@ class ExperimentConfig:
     kind_psi: str = "random-orthonormal"
     network_mode: str = "direct"
     case: str = "case2-denseB"
-    projection_family: str = "gaussian"
     receivers: int = 1
     trials: int = 50
-    redraw_b_per_t: bool = True
     debias: bool = True
     stage2: bool = True  # False: stage-1 scaling experiments skip the temporal decode
 
@@ -97,15 +95,11 @@ class ExperimentConfig:
         if self.trials < 1 or self.receivers < 1:
             raise ValueError("need trials >= 1 and receivers >= 1")
         for key, allowed in (("network_mode", NETWORK_MODES), ("case", CASES), ("kind_phi", DICTIONARY_KINDS),
-                             ("kind_psi", DICTIONARY_KINDS), ("projection_family", PROJECTION_FAMILIES)):
+                             ("kind_psi", DICTIONARY_KINDS)):
             if getattr(self, key) not in allowed:
                 raise ValueError(f"unknown {key} {getattr(self, key)!r}: expected one of {', '.join(allowed)}")
         if self.network_mode == "example1" and self.m2 > self.m:
             raise ValueError("example1 mode requires m2 <= m")
-        if self.network_mode == "identity" and self.m2 != p.N:
-            raise ValueError("identity network mode requires m2 == N")
-        if self.projection_family == "identity" and self.m1 != p.n:
-            raise ValueError("identity projection requires m1 == n")
 
 
 @dataclass
@@ -130,8 +124,6 @@ def _make_transfer(cfg: ExperimentConfig, seed: Seed) -> TransferMatrix:
     N = cfg.profile.N
     if cfg.network_mode == "direct":
         return direct_transfer_matrix(cfg.m2, N, seed)
-    if cfg.network_mode == "identity":
-        return direct_transfer_matrix(N, N, seed, family="identity")
     topo = build_example_topology(N, cfg.m, CONNECT_PROB, seed.child(_TOPO))
     return derive_transfer_matrix(topo, cfg.m2, COEFF_FAMILY, seed)
 
@@ -145,7 +137,7 @@ class Trial:
     ens: SourceEnsemble
     A: np.ndarray  # m1 x n projection
     Y: np.ndarray  # m1 x N, column i = A X_i
-    B: np.ndarray  # m1 x N on-off matrix, row t = the 0/1 pattern b_t; one row repeated unless redraw_b_per_t
+    B: np.ndarray  # m1 x N on-off matrix, row t = the 0/1 pattern b_t
     transfers: list[TransferMatrix]  # one per receiver
     observations: list[np.ndarray]  # one m2 x m1 block per receiver, column t = Z^t
 
@@ -157,15 +149,12 @@ def build_trial(cfg: ExperimentConfig, index: int) -> Trial:
 
     dicts = make_dictionary_pair(cfg.kind_phi, cfg.kind_psi, p.n, p.N, seed.child(_DICTS))
     ens = generate_ensemble(p, dicts, AMP_RANGE, seed.child(_ENSEMBLE))
-    A = make_projection(cfg.m1, p.n, cfg.projection_family, seed.child(_PROJ))
+    A = make_projection(cfg.m1, p.n, seed.child(_PROJ))
     Y = temporal_project(ens, A)
 
     prob = cfg.m2 / p.N if cfg.case == "case1-sparseB" else 1.0
     rng = seed.rng()  # every per-time stream, reseated to it (Seed.reseat) just before its draw
-    if cfg.redraw_b_per_t:
-        B = np.array([draw_onoff(p.N, prob, seed.child(_PATTERN, t).reseat(rng)) for t in range(cfg.m1)])
-    else:
-        B = np.tile(draw_onoff(p.N, prob, seed.child(_PATTERN, 0).reseat(rng)), (cfg.m1, 1))
+    B = np.array([draw_onoff(p.N, prob, seed.child(_PATTERN, t).reseat(rng)) for t in range(cfg.m1)])
 
     transfers = [_make_transfer(cfg, seed.child(_TRANSFER, r)) for r in range(cfg.receivers)]
     observations = [
@@ -654,9 +643,10 @@ def load_config(path: str, default_seed: Seed | None = None) -> ExperimentConfig
     replaces the default seed.  Values are read by field type: bools
     accept true/false, yes/no, on/off and 1/0, and an empty value is
     rejected.  A malformed file, an unknown key (the three weight keys
-    of a schema-1 file and the amp_lo, amp_hi, coeff_family and
-    connect_prob keys of a schema-2 file among them), an unknown kind or
-    family, or a missing required key raises ValueError.
+    of a schema-1 file, the amp_lo, amp_hi, coeff_family and
+    connect_prob keys of a schema-2 file, and the projection_family and
+    redraw_b_per_t keys of a schema-3 file among them), an unknown kind
+    or mode, or a missing required key raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (N vs n)

@@ -115,13 +115,11 @@ def rowdots(A, B) -> np.ndarray:
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
-def gaussian_matrix(rows: int, cols: int, stddev: float, seed: Seed) -> np.ndarray:
-    """i.i.d. normal(0, stddev^2) matrix, deterministic under seed."""
+def gaussian_matrix(rows: int, cols: int, seed: Seed) -> np.ndarray:
+    """i.i.d. standard normal matrix, deterministic under seed."""
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be >= 1")
-    if not stddev > 0:
-        raise ValueError("stddev must be positive")
-    return seed.rng().normal(0.0, stddev, size=(rows, cols))
+    return seed.rng().normal(0.0, 1.0, size=(rows, cols))
 
 
 def rademacher_matrix(rows: int, cols: int, seed: Seed) -> np.ndarray:

@@ -94,29 +94,21 @@ def derive_transfer_matrix(
     if coeff_family == "rademacher":
         coeffs = rademacher_matrix(m, N, seed.child(1))
     else:
-        coeffs = gaussian_matrix(m, N, 1.0, seed.child(1))
+        coeffs = gaussian_matrix(m, N, seed.child(1))
     n_edges = int(np.count_nonzero(mask))
     G1 = coeffs * mask
-    G2 = gaussian_matrix(m2, m, 1.0, seed.child(2))
+    G2 = gaussian_matrix(m2, m, seed.child(2))
     if n_edges:  # fold the normalization into the second stage: G = G2 G1 exactly
         density = n_edges / (m * N)
         G2 = (1.0 / np.sqrt(m * density)) * G2
     return TransferMatrix(G2 @ G1, (G1, G2))
 
 
-def direct_transfer_matrix(m2: int, N: int, seed: Seed, family: str = "gaussian") -> TransferMatrix:
-    """Topology-free transfer matrix: i.i.d. normal(0, 1) entries (gaussian), or I (identity, m2 == N)."""
+def direct_transfer_matrix(m2: int, N: int, seed: Seed) -> TransferMatrix:
+    """Topology-free m2 x N transfer matrix with i.i.d. normal(0, 1) entries."""
     if m2 < 1 or N < 1:
         raise ValueError("need m2 >= 1 and N >= 1")
-    if family == "gaussian":
-        G = gaussian_matrix(m2, N, 1.0, seed)
-    elif family == "identity":
-        if m2 != N:
-            raise ValueError("identity transfer requires m2 == N")
-        G = np.eye(N)
-    else:
-        raise ValueError(f"unknown transfer family {family!r}")
-    return TransferMatrix(G)
+    return TransferMatrix(gaussian_matrix(m2, N, seed))
 
 
 def transmit(tm: TransferMatrix, b, y, sigma: float, rng: np.random.Generator) -> np.ndarray:

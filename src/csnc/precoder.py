@@ -1,8 +1,9 @@
 """Temporal projection and probabilistic on-off spatial pre-coding.
 
 Step one of the pipeline projects each source's n samples down to m1
-dimensions with a random matrix; step two masks sources with an i.i.d.
-Bernoulli 0/1 diagonal so only a fraction transmit at each time.
+dimensions with an i.i.d. Gaussian matrix; step two masks sources with
+an i.i.d. Bernoulli 0/1 diagonal, drawn afresh for each time index, so
+only a fraction transmit at each time.
 
 The projection is a single m1 x n matrix A shared by every source:
 with a shared A, every cross-source slice Y^t = (A X_i)_t keeps the
@@ -17,24 +18,12 @@ import numpy as np
 from .mathcore import Seed, as_matrix, gaussian_matrix
 from .sources import SourceEnsemble
 
-PROJECTION_FAMILIES = ("gaussian", "identity")
 
-
-def make_projection(m1, n, family, seed: Seed) -> np.ndarray:
-    """Draw the m1 x n projection matrix A.
-
-    gaussian draws i.i.d. normal(0, 1) entries; identity requires
-    m1 == n and is a degenerate family kept for lossless-pipeline tests.
-    """
+def make_projection(m1, n, seed: Seed) -> np.ndarray:
+    """Draw the m1 x n projection matrix A with i.i.d. normal(0, 1) entries."""
     if m1 < 1:
         raise ValueError("m1 must be >= 1")
-    if family == "gaussian":
-        return gaussian_matrix(m1, n, 1.0, seed)
-    if family == "identity":
-        if m1 != n:
-            raise ValueError("identity projection requires m1 == n")
-        return np.eye(n)
-    raise ValueError(f"unknown projection family {family!r}")
+    return gaussian_matrix(m1, n, seed)
 
 
 def temporal_project(ens: SourceEnsemble, A) -> np.ndarray:

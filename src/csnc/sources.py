@@ -92,7 +92,7 @@ def make_dictionary(kind: str, dim: int, seed: Seed | None = None) -> np.ndarray
     if seed is None:
         raise ValueError(f"kind {kind!r} requires a seed")
     if kind == "random-orthonormal":
-        Q, R = np.linalg.qr(gaussian_matrix(dim, dim, 1.0, seed))
+        Q, R = np.linalg.qr(gaussian_matrix(dim, dim, seed))
         return Q * np.sign(np.diag(R))[None, :]
     raise ValueError(f"unknown dictionary kind {kind!r}")
 

@@ -12,6 +12,8 @@ from csnc.mathcore import Seed
 from csnc.re_analysis import estimate_re, save_re_report
 from csnc.sources import SparsityProfile, generate_ensemble, load_ensemble, make_dictionary_pair
 
+from lossless import decode_identity_trial
+
 
 def write_cfg(path, **kw):
     base = dict(
@@ -27,17 +29,6 @@ def write_cfg(path, **kw):
 @pytest.fixture
 def cfg_path(tmp_path):
     return write_cfg(tmp_path / "exp.cfg")
-
-
-@pytest.fixture
-def identity_cfg_path(tmp_path):
-    return write_cfg(
-        tmp_path / "ident.cfg",
-        profile=SparsityProfile(N=12, n=10, k1=2, k2=2),
-        m=4, m1=10, m2=12, sigma=0.0, D=1e-6,
-        network_mode="identity", projection_family="identity",
-        kind_phi="identity", kind_psi="identity", trials=2,
-    )
 
 
 class TestParsing:
@@ -56,7 +47,7 @@ class TestParsing:
             cli.main(["--help"])
         assert err.value.code == 0
         out = " ".join(capsys.readouterr().out.split())  # undo argparse line wrapping
-        assert "schema version 3" in out
+        assert "schema version 4" in out
         for verb in ("generate", "project", "simulate", "decode", "re-estimate",
                      "cascade-check", "trial", "sweep", "calibrate", "budget"):
             assert verb in out
@@ -127,16 +118,19 @@ class TestBudgetVerb:
 
 
 class TestSimulateVerb:
-    def test_noiseless_identity_config(self, identity_cfg_path, tmp_path, capsys):
-        out_path = str(tmp_path / "res.csv")
-        rc = cli.main(["simulate", "--config", identity_cfg_path, "--output", out_path])
-        assert rc == 0
-        rows = [l.strip().split(",") for l in open(out_path) if not l.startswith("#")]
-        header = rows[0]
-        d_idx = header.index("distortion")
-        detail = [r for r in rows[1:] if r[0] == "detail"]
-        assert detail and all(r[d_idx] == "0" for r in detail)
-        assert os.path.exists(out_path + ".summary.txt")
+    def test_noiseless_identity_config(self, tmp_path):
+        # a noiseless config file with identity dictionaries; decode_identity_trial makes the
+        # projection and network identities too, and every trial then decodes exactly
+        cfg = load_config(write_cfg(
+            tmp_path / "ident.cfg",
+            profile=SparsityProfile(N=12, n=10, k1=2, k2=2),
+            m=4, m1=10, m2=12, sigma=0.0, D=1e-6,
+            kind_phi="identity", kind_psi="identity", trials=2,
+        ))
+        for index in range(cfg.trials):
+            [res] = decode_identity_trial(cfg, index)
+            assert res.converged
+            assert np.all(res.per_source_distortion == 0.0)
 
     def test_byte_identical_outputs_for_same_argv(self, cfg_path, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -325,7 +319,7 @@ class TestAnalysisVerbs:
         ("[experiment]\n", ""),
         ("sigma = 0.05", "sigma = nan"),
         ("kind_phi = random-orthonormal", "kind_phi = gaussian-invertible"),
-        ("projection_family = gaussian", "projection_family = rademacher"),
+        ("network_mode = direct", "network_mode = identity"),  # the identity transfer family
     ], ids=["empty-number", "bad-bool", "duplicate-key", "no-section", "nan-sigma", "removed-kind",
             "removed-family"])
     def test_malformed_config_is_usage_error(self, cfg_path, capsys, old, new):
@@ -345,15 +339,33 @@ class TestAnalysisVerbs:
         err = capsys.readouterr().err
         assert "invalid configuration: unknown config keys: ['xi_scale']" in err
 
+    @staticmethod
+    def schema_3_text(tmp_path):
+        """The defaults as a schema-3 save_config wrote them: projection_family and redraw_b_per_t among the keys."""
+        return (open(write_cfg(tmp_path / "new.cfg")).read().replace("schema = 4", "schema = 3")
+                .replace("receivers = 1\n", "projection_family = gaussian\nreceivers = 1\n")
+                .replace("debias = true\n", "redraw_b_per_t = true\ndebias = true\n"))
+
     def test_schema_2_file_names_its_removed_keys(self, tmp_path, capsys):
-        # as a schema-2 save_config wrote the defaults: every key, the four fixed since among them
+        # as a schema-2 save_config wrote the defaults: every key, the six fixed since among them
         path = tmp_path / "old.cfg"
-        path.write_text(open(write_cfg(tmp_path / "new.cfg")).read().replace("schema = 3", "schema = 2")
+        path.write_text(self.schema_3_text(tmp_path).replace("schema = 3", "schema = 2")
                         + "coeff_family = rademacher\nconnect_prob = 0.3333333333333333\n"
                         "amp_lo = 8.0\namp_hi = 16.0\n")
         assert cli.main(["trial", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "invalid configuration: unknown config keys: ['amp_hi', 'amp_lo', 'coeff_family', 'connect_prob']" in err
+        assert ("invalid configuration: unknown config keys: ['amp_hi', 'amp_lo', 'coeff_family', 'connect_prob', "
+                "'projection_family', 'redraw_b_per_t']") in err
+
+    def test_schema_3_file_names_its_removed_keys(self, tmp_path, capsys):
+        path = tmp_path / "old.cfg"
+        path.write_text(self.schema_3_text(tmp_path))
+        removed = "unknown config keys: ['projection_family', 'redraw_b_per_t']"
+        with pytest.raises(ValueError) as err:
+            load_config(str(path))
+        assert removed in str(err.value)
+        assert cli.main(["trial", "--config", str(path)]) == 2
+        assert f"invalid configuration: {removed}" in capsys.readouterr().err
 
 
 class TestSeedPrecedence:

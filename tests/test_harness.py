@@ -31,8 +31,10 @@ from csnc.harness import (
     write_summary,
 )
 from csnc.mathcore import Seed
-from csnc.precoder import PROJECTION_FAMILIES
+from csnc.precoder import draw_onoff
 from csnc.sources import DICTIONARY_KINDS, SparsityProfile
+
+from lossless import decode_identity_trial
 
 
 def small_cfg(**kw):
@@ -61,15 +63,15 @@ class TestRunTrial:
         assert a.seed == b.seed
 
     def test_lossless_degenerate_pipeline(self):
+        # identity dictionaries, projection and network, no noise: every source comes back exactly
         cfg = ExperimentConfig(
             profile=SparsityProfile(N=16, n=12, k1=3, k2=2),
             m=4, m1=12, m2=16, sigma=0.0, D=1e-6,
-            master_seed=Seed(5), network_mode="identity", projection_family="identity",
-            kind_phi="identity", kind_psi="identity",
+            master_seed=Seed(5), kind_phi="identity", kind_psi="identity",
         )
-        rec = run_trial(cfg, 0)
-        assert np.all(rec.per_source_distortion == 0.0)
-        assert rec.success
+        [res] = decode_identity_trial(cfg, 0)
+        assert res.converged
+        assert np.all(res.per_source_distortion == 0.0)
 
     def test_smoke_bounds(self):
         rec = run_trial(small_cfg(), 0)
@@ -111,13 +113,6 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             small_cfg(network_mode="example1", m=8, m2=20)  # m2 > m
 
-    def test_identity_projection_needs_m1_equal_n(self):
-        # rejected at construction, as make_projection would reject it at the first trial
-        with pytest.raises(ValueError, match="identity projection requires m1 == n"):
-            small_cfg(projection_family="identity", m1=small_cfg().profile.n - 1)
-        cfg = small_cfg(projection_family="identity", m1=small_cfg().profile.n)
-        assert build_trial(cfg, 0).A.shape == (cfg.m1, cfg.profile.n)
-
     @pytest.mark.parametrize("bad", [dict(D=math.inf), dict(sigma=math.inf), dict(sigma=math.nan)],
                              ids=["D=inf", "sigma=inf", "sigma=nan"])
     def test_non_finite_sigma_and_D_rejected(self, bad):
@@ -126,8 +121,7 @@ class TestRunTrial:
             small_cfg(**bad)
 
     @pytest.mark.parametrize("key, value", [
-        ("kind_phi", "bogus"), ("kind_psi", "gaussian-invertible"),
-        ("projection_family", "rademacher"), ("projection_family", "nope"),
+        ("kind_phi", "bogus"), ("kind_psi", "gaussian-invertible"), ("network_mode", "identity"),
     ])
     def test_unknown_kind_or_family_rejected_at_construction(self, key, value):
         with pytest.raises(ValueError, match=f"unknown {key} '{value}'"):
@@ -171,14 +165,16 @@ class TestBuildTrial:
         assert np.array_equal(one.observations[0], two.observations[0])
         assert one.observations[0].shape == (20, 14)
 
-    @pytest.mark.parametrize("redraw", [True, False], ids=["redrawn", "shared"])
-    def test_trial_holds_projection_and_pattern_matrices(self, redraw):
-        cfg = small_cfg(case="case1-sparseB", redraw_b_per_t=redraw)
+    def test_trial_holds_projection_and_pattern_matrices(self):
+        cfg = small_cfg(case="case1-sparseB")
         trial = build_trial(cfg, 0)
         assert trial.A.shape == (cfg.m1, cfg.profile.n) and trial.B.shape == (cfg.m1, cfg.profile.N)
         assert np.array_equal(trial.Y, trial.A @ trial.ens.X.T)
-        assert np.all((trial.B == 0.0) | (trial.B == 1.0))
-        assert all(np.array_equal(b, trial.B[0]) for b in trial.B) is not redraw
+        assert not all(np.array_equal(b, trial.B[0]) for b in trial.B)
+        # row t is the pattern drawn from the trial's substream for time index t
+        prob = cfg.m2 / cfg.profile.N
+        for t, b in enumerate(trial.B):
+            assert np.array_equal(b, draw_onoff(cfg.profile.N, prob, trial.seed.child(csnc.harness._PATTERN, t).rng()))
 
 
 class TestConvergenceFlag:
@@ -260,7 +256,7 @@ class TestDesignsBuiltOnce:
 
     def test_all_on_stage1_solves_share_one_design(self, monkeypatch):
         cfg = small_cfg()
-        assert cfg.case == "case2-denseB" and cfg.redraw_b_per_t  # all-on, each row of B its own draw
+        assert cfg.case == "case2-denseB"  # all-on, each row of B its own draw
         [(stage1, stage2)] = self.solve_designs(monkeypatch, cfg)
         assert all(D is stage1[0] for D in stage1)
         assert stage1[0] is not stage2[0]
@@ -289,7 +285,7 @@ class TestCertifiedSolves:
 
 @st.composite
 def lossless_configs(draw):
-    """A noiseless config whose network and projection are identities, so decoding must be exact."""
+    """A noiseless all-on config with m1 = n and m2 = N, for decode_identity_trial."""
     N, n = draw(st.integers(2, 20)), draw(st.integers(2, 20))
     return ExperimentConfig(
         profile=SparsityProfile(N, n, draw(st.integers(0, n)), draw(st.integers(0, N))),
@@ -297,16 +293,16 @@ def lossless_configs(draw):
         master_seed=Seed(draw(st.integers(0, 2**64 - 1))),
         kind_phi=draw(st.sampled_from(["identity", "discrete-cosine"])),
         kind_psi=draw(st.sampled_from(["identity", "discrete-cosine"])),
-        network_mode="identity", projection_family="identity",
     )
 
 
 class TestLosslessRecoveryProperty:
     @given(cfg=lossless_configs(), index=st.integers(0, 1000))
     def test_identity_network_recovers_exactly(self, cfg, index):
-        rec = run_trial(cfg, index)
-        assert rec.converged and rec.success
-        assert rec.max_distortion <= 1e-12
+        # with the projection and network identities, decoding must be exact
+        [res] = decode_identity_trial(cfg, index)
+        assert res.converged
+        assert res.per_source_distortion.max() <= 1e-12
 
 
 class TestTheoremBudget:
@@ -492,14 +488,6 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"{axis} takes integer values"):
             sweep(small_cfg(trials=2), axis, values)
 
-    def test_identity_projection_m1_axis_checked_before_any_trial(self, monkeypatch):
-        ran = []
-        monkeypatch.setattr(csnc.harness, "run_trials", lambda cfg, *a, **kw: ran.append(cfg.m1) or [])
-        n = small_cfg().profile.n
-        with pytest.raises(ValueError, match="identity projection"):
-            sweep(small_cfg(trials=2, projection_family="identity", m1=n), "m1", [n - 2, n])
-        assert ran == []
-
     def test_every_cell_checked_before_any_trial(self, monkeypatch):
         ran = []
         monkeypatch.setattr(csnc.harness, "run_trials", lambda cfg, *a, **kw: ran.append(cfg.m2) or [])
@@ -586,7 +574,7 @@ class TestExports:
 
 class TestConfigIO:
     def test_round_trip(self, tmp_path):
-        cfg = small_cfg(redraw_b_per_t=False, case="case1-sparseB")
+        cfg = small_cfg(case="case1-sparseB", debias=False)
         path = str(tmp_path / "exp.cfg")
         save_config(cfg, path)
         loaded = load_config(path)
@@ -631,25 +619,20 @@ def configs(draw):
     """A random valid ExperimentConfig."""
     N, n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
     mode = draw(st.sampled_from(NETWORK_MODES))
-    if mode == "identity":
-        m2 = N
-    else:
-        m2 = draw(st.integers(1, min(N, m) if mode == "example1" else N))
-    family = draw(st.sampled_from(PROJECTION_FAMILIES))
+    m2 = draw(st.integers(1, min(N, m) if mode == "example1" else N))
     return ExperimentConfig(
         profile=SparsityProfile(N, n, draw(st.integers(0, n)), draw(st.integers(0, N))),
-        m=m, m1=n if family == "identity" else draw(st.integers(1, n)), m2=m2,
+        m=m, m1=draw(st.integers(1, n)), m2=m2,
         sigma=draw(st.floats(0.0, 1e3)), D=draw(st.floats(1e-12, 1e3)),
         master_seed=Seed(draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**64 - 1))),
         kind_phi=draw(st.sampled_from(DICTIONARY_KINDS)), kind_psi=draw(st.sampled_from(DICTIONARY_KINDS)),
         network_mode=mode, case=draw(st.sampled_from(CASES)),
-        projection_family=family,
         receivers=draw(st.integers(1, 8)), trials=draw(st.integers(1, 1000)),
-        redraw_b_per_t=draw(st.booleans()), debias=draw(st.booleans()), stage2=draw(st.booleans()),
+        debias=draw(st.booleans()), stage2=draw(st.booleans()),
     )
 
 
-BOOL_KEYS = ("redraw_b_per_t", "debias", "stage2")
+BOOL_KEYS = ("debias", "stage2")
 BOOL_SPELLINGS = ("true", "false", "yes", "no", "on", "off", "1", "0")
 
 

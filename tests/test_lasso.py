@@ -309,7 +309,7 @@ class TestDecodeAll:
         s = Seed(300, seed)
         dicts = make_dictionary_pair("random-orthonormal", "random-orthonormal", n, N, s.child(1))
         ens = generate_ensemble(SparsityProfile(N, n, k1, k2), dicts, (1.0, 2.0), s.child(2))
-        A = make_projection(m1, n, "gaussian", s.child(3))
+        A = make_projection(m1, n, s.child(3))
         Y = temporal_project(ens, A)
         tm = direct_transfer_matrix(m2, N, s.child(4))
         B = np.array([draw_onoff(N, 1.0, s.child(5, t).rng()) for t in range(m1)])
@@ -402,7 +402,7 @@ def decode_case(s, N, n, m1, m2, kind, sigma, k1, k2, runs=None, truth="none", d
     """
     dicts = make_dictionary_pair("random-orthonormal", "random-orthonormal", n, N, s.child(1))
     ens = generate_ensemble(SparsityProfile(N, n, k1, k2), dicts, (1.0, 2.0), s.child(2))
-    A = make_projection(m1, n, "gaussian", s.child(3))
+    A = make_projection(m1, n, s.child(3))
     Y = temporal_project(ens, A)
     tm = direct_transfer_matrix(m2, N, s.child(4))
     if kind == "shared":

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from csnc.mathcore import Seed, gaussian_matrix, matrix_rank, rademacher_matrix
 from csnc.netsim import (
+    TransferMatrix,
     build_example_topology,
     derive_transfer_matrix,
     direct_transfer_matrix,
@@ -68,8 +69,8 @@ class TestTopologyMatchesEdgeLoop:
         tm = derive_transfer_matrix(topo, m2, family, s.child(1))
         G1, G2 = tm.decomposition
         coeffs = (rademacher_matrix(m, N, s.child(1).child(1)) if family == "rademacher"
-                  else gaussian_matrix(m, N, 1.0, s.child(1).child(1)))
-        G2_ref = (1.0 / np.sqrt(m * (n_edges / (m * N)))) * gaussian_matrix(m2, m, 1.0, s.child(1).child(2))
+                  else gaussian_matrix(m, N, s.child(1).child(1)))
+        G2_ref = (1.0 / np.sqrt(m * (n_edges / (m * N)))) * gaussian_matrix(m2, m, s.child(1).child(2))
         assert np.array_equal(G1, coeffs * mask)
         assert np.array_equal(G2, G2_ref)
         assert np.array_equal(tm.G, G2_ref @ (coeffs * mask))
@@ -125,9 +126,21 @@ class TestDeriveTransferMatrix:
             derive_transfer_matrix(np.array(incidence), 1, "rademacher", Seed(0))
 
 
+class TestDirectTransferMatrix:
+    def test_draws_the_seeded_gaussian_matrix(self):
+        tm = direct_transfer_matrix(5, 12, Seed(3))
+        assert tm.decomposition is None
+        assert np.array_equal(tm.G, gaussian_matrix(5, 12, Seed(3)))
+
+    @pytest.mark.parametrize("m2, N", [(0, 4), (4, 0)])
+    def test_empty_dimension_rejected(self, m2, N):
+        with pytest.raises(ValueError, match="need m2 >= 1 and N >= 1"):
+            direct_transfer_matrix(m2, N, Seed(3))
+
+
 class TestTransmit:
     def test_noiseless_identity(self):
-        tm = direct_transfer_matrix(6, 6, Seed(0), family="identity")
+        tm = TransferMatrix(np.eye(6))
         y = Seed(1).rng().normal(size=6)
         z = transmit(tm, np.ones(6), y, 0.0, Seed(2).rng())
         assert np.array_equal(z, y)
@@ -153,7 +166,7 @@ class TestTransmit:
         assert abs(samples.var() - 1.0) < 0.03
 
     def test_noise_covariance_is_white(self):
-        tm = direct_transfer_matrix(4, 4, Seed(9), family="identity")
+        tm = TransferMatrix(np.eye(4))
         pat = np.ones(4)
         sigma = 0.5
         Z = np.stack(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csnc.mathcore import Seed
+from csnc.mathcore import Seed, gaussian_matrix
 from csnc.precoder import draw_onoff, make_projection, temporal_project
 from csnc.sources import SparsityProfile, generate_ensemble, make_dictionary_pair
 
@@ -12,21 +12,30 @@ def ensemble(N=12, n=9, k1=3, k2=2, seed=5):
     return ens, dicts
 
 
+class TestMakeProjection:
+    def test_draws_the_seeded_gaussian_matrix(self):
+        assert np.array_equal(make_projection(4, 9, Seed(8)), gaussian_matrix(4, 9, Seed(8)))
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="m1 must be >= 1"):
+            make_projection(0, 9, Seed(8))
+
+
 class TestTemporalProject:
     def test_identity_projection(self):
         ens, _ = ensemble()
-        A = make_projection(9, 9, "identity", Seed(0))
+        A = np.eye(9)
         Y = temporal_project(ens, A)
         assert np.array_equal(Y, ens.X.T)
 
     def test_zero_ensemble(self):
         ens, _ = ensemble(k1=0, k2=0)
-        A = make_projection(4, 9, "gaussian", Seed(1))
+        A = make_projection(4, 9, Seed(1))
         assert np.all(temporal_project(ens, A) == 0.0)
 
     def test_matches_per_column_oracle(self):
         ens, _ = ensemble(N=12, n=12)
-        A = make_projection(5, 12, "gaussian", Seed(2))
+        A = make_projection(5, 12, Seed(2))
         Y = temporal_project(ens, A)
         for i in range(12):
             direct = A @ ens.X[i]
@@ -35,7 +44,7 @@ class TestTemporalProject:
     def test_linearity(self):
         ens, dicts = ensemble()
         ens2, _ = ensemble(seed=9)
-        A = make_projection(4, 9, "gaussian", Seed(3))
+        A = make_projection(4, 9, Seed(3))
         from csnc.sources import SourceEnsemble
 
         mix = SourceEnsemble(
@@ -47,14 +56,14 @@ class TestTemporalProject:
 
     def test_dimension_mismatch(self):
         ens, _ = ensemble()
-        A = make_projection(4, 8, "gaussian", Seed(5))
+        A = make_projection(4, 8, Seed(5))
         with pytest.raises(ValueError):
             temporal_project(ens, A)
 
     def test_shared_mode_preserves_spatial_sparsity(self):
         # every cross-source slice Y^t has a k2-sparse spatial coefficient vector
         ens, dicts = ensemble(N=16, n=10, k1=3, k2=2)
-        A = make_projection(6, 10, "gaussian", Seed(6))
+        A = make_projection(6, 10, Seed(6))
         Y = temporal_project(ens, A)
         for t in range(6):
             mu = np.linalg.solve(dicts.Psi, Y[t])
@@ -66,10 +75,6 @@ class TestTemporalProject:
         ens, _ = ensemble()
         with pytest.raises(ValueError):
             temporal_project(ens, A)
-
-    def test_identity_family_requires_square(self):
-        with pytest.raises(ValueError):
-            make_projection(4, 9, "identity", Seed(0))
 
 
 class TestDrawOnoff:

@@ -6,11 +6,16 @@ The package is imported from <checkout>/src, so running this once on
 each of two checkouts and diffing the two outputs shows whether a
 change kept these outputs byte-identical:
 
-- the export_results CSV of trials 0-3 of each of the seven export
+- the export_results CSV of trials 0-3 of each of the five export
   configs below, and of trials 0-15 of the acceptance config;
-- for each of the seven export configs, the drawn trials 0-3 themselves:
-  the ensemble X, the projection Y, and every receiver's transfer
-  matrix G and observation block;
+- for the acceptance config and each of the five export configs, the
+  drawn trials 0-3 themselves: the ensemble X, the projection Y, and
+  every receiver's transfer matrix G and observation block;
+- the decode of trials 0-3 of the small config with debias=False: the
+  bytes of every receiver's mu_hat, y_hat, theta_hat and x_hat from
+  decode_trial.  The export CSV keeps only per-trial summaries, and the
+  default refit ignores a stage-2 weight once the support is fixed, so
+  this is the line that moves when a weight moves by an ulp;
 - the export_results CSV of the ten trial records of the m2=50 cell of
   the criterion-4 m2 sweep (N=512, stage 1 only);
 - the calibration of the small config (N=n=32, m=8, 20 pilot trials):
@@ -69,6 +74,15 @@ def trial_digest(harness, cfg) -> str:
         parts += [trial.ens.X.tobytes(), trial.Y.tobytes()]
         for tm, obs in zip(trial.transfers, trial.observations):
             parts += [tm.G.tobytes(), obs.tobytes()]
+    return sha(parts)
+
+
+def decode_digest(harness, cfg) -> str:
+    """Digest of decode_trial on trials 0-3: each receiver's mu_hat, y_hat, theta_hat and x_hat."""
+    parts = []
+    for i in range(4):
+        for res in harness.decode_trial(cfg, harness.build_trial(cfg, i)):
+            parts += [res.mu_hat.tobytes(), res.y_hat.tobytes(), res.theta_hat.tobytes(), res.x_hat.tobytes()]
     return sha(parts)
 
 
@@ -145,12 +159,8 @@ def main(argv=None) -> int:
         "small-example1": replace(small, network_mode="example1"),
         "small-case1": replace(small, case="case1-sparseB"),
         "small-receivers2": replace(small, receivers=2),
-        "small-case1-shared-pattern": replace(small, case="case1-sparseB", redraw_b_per_t=False),
         "small-dct-stage1": replace(small, kind_phi="discrete-cosine", kind_psi="discrete-cosine",
                                     stage2=False, debias=False),
-        "identity-lossless": Config(SparsityProfile(16, 12, 3, 2), m=4, m1=12, m2=16, sigma=0.0, D=1e-6,
-                                    master_seed=Seed(5), network_mode="identity",
-                                    projection_family="identity", kind_phi="identity", kind_psi="identity"),
     }
 
     records = harness.run_trials(acceptance, range(16))
@@ -160,6 +170,7 @@ def main(argv=None) -> int:
     print(f"export acceptance trials 0-15 {export_digest(harness, records)}")
     for name, cfg in {"acceptance": acceptance, **configs}.items():
         print(f"trial {name} trials 0-3 {trial_digest(harness, cfg)}")
+    print(f"decode small debias=False trials 0-3 {decode_digest(harness, replace(small, debias=False))}")
 
     # the criterion-4 m2 sweep's cell m2=50, as harness.sweep runs it
     m2_cfg = Config(SparsityProfile(512, 16, 2, 2), m=32, m1=4, m2=50, sigma=0.1, D=0.01, trials=10,
