@@ -12,11 +12,12 @@ H = (1/q) G^T G; a problem's path is the same to the bit whether it is
 stepped alone or in any block.  Before it returns, lasso_paths finishes
 every path that reached xi on its final active set A from the same Gram
 rows, by solving H_AA y = c0_A - xi s with c0 = (1/q) G^T z, one
-batched solve per active-set size.  solve_lasso is the one exit per
-problem: it scores the finished path and checks the result, and a
-solution is reported converged only when the path reached xi AND the
-KKT stationarity residual is at most 10 * TOL, which makes the
-convergence flag a checkable certificate.
+batched solve per active-set size, and scores every path from one
+residual block: each path's objective and KKT stationarity residual.
+solve_lasso is the one exit per problem: it packages the block's
+certificate of its path, and a solution is reported converged only when
+the path reached xi AND the KKT residual is at most 10 * TOL, which
+makes the convergence flag a checkable certificate.
 
 On top of the solver sit the two decoding stages of the pipeline: a
 spatial decode per time index (design G B Psi) and a temporal decode
@@ -95,21 +96,49 @@ def kkt_check(prob: LassoProblem, coef) -> float:
 
     For each coordinate j with gradient g_j = (1/q) G_j^T (G coef - z):
     active coordinates must satisfy g_j = -xi sign(coef_j), inactive
-    ones |g_j| <= xi.  Returns the worst violation (0 at an optimum).
+    ones |g_j| <= xi.  Returns the worst violation (0 at an optimum),
+    scored by the block certificate of lasso_paths on a block of one.
     """
     c = as_vector(coef, "coef")
     if c.shape[0] != prob.p:
         raise ValueError("coef length must match design columns")
-    return _scores(prob, c)[1]
+    return _certify(prob.G, prob.z[:, None], np.array([prob.xi]), c[None])[1][0]
 
 
-def _scores(prob: LassoProblem, coef) -> tuple[float, float]:
-    """The objective of coef and its KKT residual (see kkt_check), both from one residual z - G coef."""
-    r = prob.z - prob.G @ coef
-    g = prob.G.T @ -r / prob.q
-    viol = np.where(coef != 0, np.abs(g + prob.xi * np.sign(coef)), np.abs(g) - prob.xi)
-    objective = float(0.5 * (r @ r) / prob.q + prob.xi * np.sum(np.abs(coef)))
-    return objective, max(float(viol.max()), 0.0)
+def _certify(D, Z, xis, C, scratch=None) -> tuple[list[float], list[float]]:
+    """The objective and the KKT residual (see kkt_check) of each row of C, from one residual block.
+
+    Row b of the n x p array C is scored on column b of the q x n block Z
+    with weight xis[b], from its residual r = Z_b - D C_b and gradient
+    (1/q) D^T (-r).  The products are mathcore.matvecs' and rowdots', so
+    each row rounds as its own 1-D product, and its scores have the same
+    bits in any block.  The residuals, gradients and weights are written
+    into scratch, a flat float64 buffer of at least n (q + 3p) entries,
+    allocated when omitted.
+    """
+    (q, p), n = D.shape, len(C)
+    C = np.ascontiguousarray(C)
+    if scratch is None:
+        scratch = np.empty(n * (q + 3 * p))
+    R = scratch[:n * q].reshape(n, q)
+    g, t, w = scratch[n * q:n * (q + 3 * p)].reshape(3, n, p)
+    np.copyto(w, xis[:, None])  # row b: xis[b]; an operand numpy broadcasts would cost it iteration buffers
+    np.matmul(D, C[:, :, None], out=R[:, :, None])
+    np.subtract(Z.T, R, out=R)  # row b: the residual Z_b - D C_b
+    rr = rowdots(R, R)
+    np.negative(R, out=R)
+    np.matmul(D.T, R[:, :, None], out=g[:, :, None])
+    g /= q  # row b: the gradient
+    np.sign(C, out=t)
+    t *= w
+    t += g
+    np.abs(t, out=t)  # an active coordinate's violation
+    np.abs(g, out=g)
+    g -= w  # an inactive one's
+    np.copyto(g, t, where=C != 0)
+    kkts = [max(v, 0.0) for v in g.max(axis=1).tolist()]
+    np.abs(C, out=t)
+    return (0.5 * rr / q + xis * t.sum(axis=1)).tolist(), kkts
 
 
 def default_xi(sigma_hat: float, q: int, p: int) -> float:
@@ -138,6 +167,7 @@ class _Gram:
     def __init__(self, D, Z):
         self.D, p = D, D.shape[1]
         self.C0 = matvecs(D.T, Z.T)
+        self.coefs = None  # lasso_paths' coefficient block, row b: path b's, once its paths are finished
         self.slot = np.full(p, -1, dtype=np.intp)  # row of column j: rows[slot[j]], once built
         self.rows = np.empty((min(p, 16), p))
         self.built = 0
@@ -160,13 +190,16 @@ class _Gram:
         return self.rows[R[:, :, None], A[:, None, :]]
 
 
-@dataclass
+@dataclass(slots=True)
 class LassoPath:
     """Where one homotopy path stopped: its active columns in join order, their signs and coefficients.
 
     coef is the solution at xi when the path reached xi, else the iterate
-    it stopped at.  gram holds the block's correlations and the Gram rows
-    of the design, shared by every path of one lasso_paths call.
+    it stopped at.  row is that point over all p columns, and objective
+    and kkt are its scores (see kkt_check).  gram holds the block's
+    correlations, the Gram rows of the design and the block's
+    coefficients gram.coefs, whose row b is path b's row; it is shared
+    by every path of one lasso_paths call.
     """
 
     active: np.ndarray
@@ -175,6 +208,9 @@ class LassoPath:
     steps: int
     reached: bool  # the path reached xi
     gram: _Gram = field(repr=False, compare=False)
+    row: np.ndarray | None = field(default=None, repr=False, compare=False)
+    objective: float = math.nan
+    kkt: float = math.nan
 
 
 def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
@@ -204,11 +240,20 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     path with its iterate and reached=False, as a singular step does;
     the others solve as they would alone.
 
+    Every path is then scored where it stopped.  Its coefficients are
+    scattered into row b of the B x p block gram.coefs, and, _LOCKSTEP
+    rows at a time, one residual block Z^T - D C and one gradient block
+    (1/q) D^T (D C - Z^T) give each path's objective and KKT residual
+    (see kkt_check and _certify), in the stepping buffers, which the
+    block no longer needs.  Each row rounds as its own 1-D product, so
+    a path's certificate too is the same to the bit in any block.
+
     The columns are stepped in batches of at most _LOCKSTEP, each until
     all its paths have stopped.  Every live path of a batch has taken
     the same number of steps, so one check stops them all at max_iter.
     The live paths of a batch are kept compacted at the front of
-    buffers reused for the whole call.  A step makes one
+    buffers reused for the whole call: a stopped path's place is taken
+    by one live path from the tail.  A step makes one
     batched np.linalg.solve of the active blocks, and one batched
     product over the Gram rows of the active columns, per active-set
     size among the live paths: padding the smaller blocks into one solve
@@ -275,11 +320,13 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
             n = size[i]
             paths[col[i]] = LassoPath(active[i, :n].copy(), signs[i, :n].copy(), coef[i, :n].copy(),
                                       steps, reached, gram)
-        keep = [i for i in range(nl) if i not in done]
-        nl = len(keep)
-        if nl and keep[-1] >= nl:
+        left = nl - len(done)
+        holes = [i for i in done if i < left]  # each takes one live row from the tail
+        if holes:
+            tail = [i for i in range(left, nl) if i not in done]
             for buf in (X, V, shut, active, signs, xi, col, size, bar):
-                buf[:nl] = buf[keep]
+                buf[holes] = buf[tail]
+        nl = left
 
     for start in range(0, nb, W):
         # admit the next batch of columns; each one's first piece joins its top column
@@ -391,6 +438,18 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
                 paths[b].reached = False
             else:
                 paths[b].coef = Y[g]
+
+    gram.coefs = C = np.zeros((nb, p))  # row b: path b's coefficients over all p columns
+    for b, path in enumerate(paths):
+        C[b, path.active] = path.coef
+
+    # certify the block, W rows at a time, in the stepping buffers when they hold a chunk's scratch
+    scratch = XV.reshape(-1) if XV.size >= W * (q + 3 * p) else None
+    for b0 in range(0, nb, W):
+        rows = slice(b0, b0 + W)
+        objectives, kkts = _certify(D, Z[:, rows], xis[rows], C[rows], scratch)
+        for path, row, objective, kkt in zip(paths[rows], C[rows], objectives, kkts):
+            path.row, path.objective, path.kkt = row, objective, kkt
     return paths
 
 
@@ -424,17 +483,18 @@ def _by_size(sizes) -> list[tuple[int, np.ndarray]]:
 
 
 def solve_lasso(prob: LassoProblem, path: LassoPath | None = None) -> LassoSolution:
-    """Exact solve: the one exit of every problem, which scores and certifies its finished path.
+    """Exact solve: the one exit of every problem, which packages the block's certificate of its path.
 
-    path is prob's LassoPath from lasso_paths; decode_spatial steps and
-    finishes a whole block's paths in one lasso_paths call, then calls
-    this once per problem.  Without path, prob's path is stepped and
-    finished alone, capped at lasso_paths' default of 10 000 steps; a
-    path's bits do not depend on its block, so a bare call returns the
-    same bits as a block's.
+    path is prob's LassoPath from lasso_paths; decode_spatial steps,
+    finishes and scores a whole block's paths in one lasso_paths call,
+    then calls this once per problem.  Without path, prob's path is
+    stepped, finished and scored alone, capped at lasso_paths' default
+    of 10 000 steps; a path's bits do not depend on its block, so a bare
+    call returns the same bits as a block's.
 
-    The objective and the KKT residual are computed here, from one
-    residual, so every solution's certificate is checked in this call:
+    The solution's coef is the path's row of the block's coefficients,
+    and its objective and KKT residual are the path's scores, so every
+    solution's certificate is checked by the time of this call:
     converged means the path reached xi and kkt_check <= 10 * TOL.  A
     path that hit its cap, a singular active system or a singular
     finish, and a failed certificate, each return the path's
@@ -442,10 +502,7 @@ def solve_lasso(prob: LassoProblem, path: LassoPath | None = None) -> LassoSolut
     """
     if path is None:
         [path] = lasso_paths(prob.G, prob.z[:, None], [prob.xi])
-    coef = np.zeros(prob.p)
-    coef[path.active] = path.coef
-    objective, kkt = _scores(prob, coef)
-    return LassoSolution(coef, objective, kkt, path.steps, path.reached and kkt <= 10.0 * TOL)
+    return LassoSolution(path.row, path.objective, path.kkt, path.steps, path.reached and path.kkt <= 10.0 * TOL)
 
 
 def debias_refit(D, Z, coefs, gram: _Gram | None = None) -> np.ndarray:
@@ -513,23 +570,25 @@ def decode_spatial(Z, D, xis, debias=True):
 
     Returns (coefs, solutions): row b of the B x p array coefs is
     recovered from column Z[:, b] with weight xis[b], and solutions[b]
-    is its LassoSolution.  D is a prebuilt design shared by the whole
-    block: stage 1 decodes the time slices Z^t of a run of equal on-off
-    patterns on G diag(b_t) Psi, giving mu; stage 2, decode_temporal,
-    the same function, decodes the columns y_hat_i of the stage-1
-    estimate on A Phi, giving theta; direct_recovery_trial decodes one
-    column on a bare transfer matrix.  One lasso_paths call steps and
-    finishes the block's paths; solve_lasso then certifies each problem,
-    one call per column (its problem unchecked again: lasso_paths
-    checked the block), and, when debias, one debias_refit call refits
-    the block from the paths' correlations and Gram rows.  Both are
+    is its LassoSolution, whose coef is a view of row b of the paths'
+    coefficient block (coefs itself when not debias).  D is a prebuilt
+    design shared by the whole block: stage 1 decodes the time slices
+    Z^t of a run of equal on-off patterns on G diag(b_t) Psi, giving mu;
+    stage 2, decode_temporal, the same function, decodes the columns
+    y_hat_i of the stage-1 estimate on A Phi, giving theta;
+    direct_recovery_trial decodes one column on a bare transfer matrix.
+    One lasso_paths call steps, finishes and scores the block's paths;
+    solve_lasso then packages each problem's certificate, one call per
+    column (its problem unchecked again: lasso_paths checked the block),
+    and, when debias, one debias_refit call refits the paths'
+    coefficient block from their correlations and Gram rows.  Both are
     called through this module's names.
     """
     D, Z = np.asarray(D, dtype=np.float64), np.asarray(Z, dtype=np.float64)
     paths = lasso_paths(D, Z, xis)
     sols = [solve_lasso(LassoProblem._checked(z, D, xi), path=path) for z, xi, path in zip(Z.T, xis, paths)]
-    coefs = np.array([sol.coef for sol in sols])
-    return (debias_refit(D, Z, coefs, paths[0].gram) if debias else coefs), sols
+    gram = paths[0].gram
+    return (debias_refit(D, Z, gram.coefs, gram) if debias else gram.coefs), sols
 
 
 decode_temporal = decode_spatial

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import Seed, as_matrix, gaussian_matrix, matvecs, min_singular_value, rowdots
+from .mathcore import Seed, as_matrix, gaussian_matrix, matvecs, rowdots
 
 DICTIONARY_KINDS = ("identity", "random-orthonormal", "discrete-cosine")
 
@@ -42,25 +42,12 @@ class SparsityProfile:
 
 @dataclass
 class DictionaryPair:
-    """Temporal (n x n) and spatial (N x N) dictionaries, both invertible.
-
-    Supplied matrices are checked: finite, square, and smallest singular
-    value above 1e-8.
-    """
+    """Temporal (n x n) and spatial (N x N) dictionaries, both orthonormal as make_dictionary builds them."""
 
     Phi: np.ndarray
     Psi: np.ndarray
     kind_phi: str = "random-orthonormal"
     kind_psi: str = "random-orthonormal"
-
-    def __post_init__(self):
-        self.Phi = as_matrix(self.Phi, "Phi")
-        self.Psi = as_matrix(self.Psi, "Psi")
-        for name, M in (("Phi", self.Phi), ("Psi", self.Psi)):
-            if M.shape[0] != M.shape[1]:
-                raise ValueError(f"{name} must be square")
-            if min_singular_value(M) <= 1e-8:
-                raise ValueError(f"{name} is numerically singular")
 
 
 @dataclass
@@ -110,16 +97,9 @@ def _dct(dim: int) -> np.ndarray:
 
 
 def make_dictionary_pair(kind_phi, kind_psi, n, N, seed: Seed) -> DictionaryPair:
-    """Convenience builder for (Phi n x n, Psi N x N) from kinds and one seed.
-
-    make_dictionary builds every kind orthonormal, so the pair skips
-    DictionaryPair's SVD check.
-    """
-    pair = object.__new__(DictionaryPair)
-    pair.Phi = make_dictionary(kind_phi, n, seed.child(0))
-    pair.Psi = make_dictionary(kind_psi, N, seed.child(1))
-    pair.kind_phi, pair.kind_psi = kind_phi, kind_psi
-    return pair
+    """Convenience builder for (Phi n x n, Psi N x N) from kinds and one seed."""
+    return DictionaryPair(make_dictionary(kind_phi, n, seed.child(0)), make_dictionary(kind_psi, N, seed.child(1)),
+                          kind_phi, kind_psi)
 
 
 def generate_ensemble(

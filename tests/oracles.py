@@ -215,6 +215,22 @@ def homotopy_path(z, G, xi, max_iter=10_000, tol=1e-8):
     return coef, steps, drops, reached and kkt <= 10.0 * tol, active.tolist()
 
 
+def scores(z, G, xi, coef):
+    """The objective of coef and its KKT residual, both from one residual z - G coef, one problem at a time.
+
+    The per-problem certificate the solver's block certificate must match
+    bit for bit: the gradient is (1/q) G^T (-r); an active coordinate
+    violates stationarity by |g_j + xi sign(coef_j)|, an inactive one by
+    |g_j| - xi, and the residual is the worst violation, floored at 0.
+    """
+    q = G.shape[0]
+    r = z - G @ coef
+    g = G.T @ -r / q
+    viol = np.where(coef != 0, np.abs(g + xi * np.sign(coef)), np.abs(g) - xi)
+    objective = float(0.5 * (r @ r) / q + xi * np.sum(np.abs(coef)))
+    return objective, max(float(viol.max()), 0.0)
+
+
 def gram_block(G, cols):
     """G_S^T G_S, each row built as G[:, j] @ G, the way the solver builds it."""
     return np.array([G[:, j] @ G for j in cols])[:, cols]

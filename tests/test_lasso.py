@@ -703,7 +703,7 @@ def wide_batch():
 
 
 class TestBlockExit:
-    """decode_spatial finishes and refits a column as it does the column alone, bit for bit, in any block."""
+    """decode_spatial finishes, certifies and refits a column as it does the column alone, bit for bit, in any block."""
 
     @pytest.mark.parametrize("batch", [fixed_batch, wide_batch])
     @pytest.mark.parametrize("size", [7, 32, 33])
@@ -721,6 +721,47 @@ class TestBlockExit:
                     want_sol.iterations, want_sol.converged, want_sol.kkt_residual)
                 sizes.add(np.count_nonzero(sol.coef))
         assert len(sizes) > 2  # blocks mix finish and refit sizes
+
+    @pytest.mark.parametrize("batch", [fixed_batch, wide_batch])
+    def test_certificate_is_the_per_problem_score(self, monkeypatch, batch):
+        # each solve packages its row of the block handed to the refit, with that row's
+        # per-problem scores, the same as a bare solve's
+        G, Z, xis = batch()
+        handed, refit = [], csnc.lasso.debias_refit
+
+        def spy(D, Z, coefs, gram=None):
+            handed.append(coefs)
+            return refit(D, Z, coefs, gram)
+
+        monkeypatch.setattr(csnc.lasso, "debias_refit", spy)
+        _, sols = decode_spatial(Z, G, xis)
+        monkeypatch.undo()
+        [coefs] = handed
+        for b, sol in enumerate(sols):
+            prob = LassoProblem(Z[:, b], G, xis[b])
+            assert same_bits(sol.coef, coefs[b])
+            assert (sol.objective, sol.kkt_residual) == oracles.scores(prob.z, prob.G, prob.xi, sol.coef)
+            assert kkt_check(prob, sol.coef) == sol.kkt_residual
+            bare = solve_lasso(prob)
+            assert same_bits(sol.coef, bare.coef)
+            assert (sol.objective, sol.kkt_residual, sol.converged) == (
+                bare.objective, bare.kkt_residual, bare.converged)
+
+    def test_capped_block_certificate(self):
+        # paths stopped at the cap are scored at their iterate, as the same path stepped alone
+        G, Z, xis = fixed_batch()
+        paths = lasso_paths(G, Z, xis, max_iter=2)
+        assert any(not path.reached for path in paths) and any(path.steps == 0 for path in paths)
+        for b, path in enumerate(paths):
+            prob = LassoProblem(Z[:, b], G, xis[b])
+            sol = solve_lasso(prob, path=path)
+            assert same_bits(sol.coef, path.gram.coefs[b])
+            assert (sol.objective, sol.kkt_residual) == oracles.scores(prob.z, prob.G, prob.xi, sol.coef)
+            alone = solve_lasso(prob, path=lasso_paths(G, Z[:, [b]], xis[[b]], max_iter=2)[0])
+            assert same_bits(sol.coef, alone.coef)
+            assert (sol.objective, sol.kkt_residual, sol.iterations, sol.converged) == (
+                alone.objective, alone.kkt_residual, alone.iterations, alone.converged)
+            assert sol.converged == (path.reached and sol.kkt_residual <= 10 * csnc.lasso.TOL)
 
     def test_singular_finish_marks_only_its_problem(self, monkeypatch):
         # the batched finish of one active-set size raises for the whole stack; only the singular

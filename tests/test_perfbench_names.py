@@ -8,8 +8,9 @@ probe.install's layer wraps.  A rename or a dropped import in csnc that
 would break a traced run fails here.  The second sets up each workload
 as an untraced run does (prepare, then the warm-up operation) and closes
 it, so a config key or a positional argument that a workload passes,
-and that csnc no longer takes, fails here too.  Nothing under perfbench/
-changes.
+and that csnc no longer takes, fails here too; it also counts the
+warm-up's certified solves, so a decode exit that bypasses solve_lasso
+fails here.  Nothing under perfbench/ changes.
 """
 
 import sys
@@ -68,4 +69,11 @@ def test_workload_sets_up_and_warms_up(tmp_path, name):
         probe.restore()
     assert probe.errors == []
     assert [op.label for op in probe.ops if op.failed] == []
+    # every solve of the warm-up left through solve_lasso, where perfbench certifies it: a trial
+    # solves once per time index and once per source at each receiver, a recovery once
+    if name in ("trials-acceptance", "calibrate-small"):
+        cfg = workload.cfg
+        assert len(probe.solves) == cfg.receivers * (cfg.m1 + cfg.profile.N)
+    else:
+        assert len(probe.solves) == {"stage1-scaling": 1, "analysis-battery": 0}[name]
     assert_restored(before)

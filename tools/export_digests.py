@@ -31,8 +31,9 @@ change kept these outputs byte-identical:
   first-layer edges, since Rademacher coefficients are +-1), the 10 RE estimates,
   and a block of 600 sample_cone_vectors rows;
 - the number of LASSO solves all of the above made, and a digest of each
-  solve's (path steps, converged) in call order, so a change that moves
-  one solve's path shows in the same diff.
+  solve's path steps, convergence flag, and the bytes of its objective
+  and KKT residual, in call order, so a change that moves one solve's
+  path or certificate shows in the same diff.
 
 Each line is "<name> <value>".  Expect about half a minute on one core.
 """
@@ -139,12 +140,13 @@ def main(argv=None) -> int:
         print(f"export_digests: imported csnc from {csnc.__file__}, not from {src}", file=sys.stderr)
         return 2
 
-    paths = []  # (iterations, converged) of every solve, in call order
+    paths = []  # (iterations, converged, objective and KKT residual bytes) of every solve, in call order
     solve_lasso = csnc.lasso.solve_lasso
 
     def recording_solve(*args, **kwargs):
         sol = solve_lasso(*args, **kwargs)
-        paths.append((sol.iterations, sol.converged))
+        paths.append((sol.iterations, sol.converged, np.float64(sol.objective).tobytes(),
+                      np.float64(sol.kkt_residual).tobytes()))
         return sol
 
     csnc.lasso.solve_lasso = recording_solve
