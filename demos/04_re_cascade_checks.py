@@ -18,7 +18,7 @@ from csnc import (
     derive_transfer_matrix,
     error_bound,
     estimate_re,
-    sample_cone_vector,
+    sample_cone_vectors,
 )
 
 
@@ -40,7 +40,7 @@ def main():
 
     # cone sampling honors the l1 constraint exactly
     spec = ConeSpec(p, tuple(range(k)), alpha=1.0)
-    y = sample_cone_vector(spec, seed.child(5))
+    y = sample_cone_vectors(spec, [seed.child(5)])[0]
     on = np.sum(np.abs(y[:k]))
     off = np.sum(np.abs(y[k:]))
     print(f"sampled cone vector: off-support l1 {off:.3f} <= alpha * on-support l1 {on:.3f}")

@@ -58,7 +58,6 @@ from .re_analysis import (
     constant_c,
     error_bound,
     estimate_re,
-    sample_cone_vector,
     sample_cone_vectors,
 )
 from .harness import (

@@ -52,7 +52,6 @@ NETWORK_MODES = ("direct", "example1")
 CASES = ("case1-sparseB", "case2-denseB")
 AMP_RANGE = (8.0, 16.0)  # magnitude range of the nonzero core entries of every ensemble
 CONNECT_PROB = 1.0 / 3.0  # example1: each source feeds each intermediate with this probability
-COEFF_FAMILY = "rademacher"  # example1: first-layer coding coefficients
 
 # substream tags
 _TRIAL, _DICTS, _ENSEMBLE, _PROJ, _TOPO, _TRANSFER, _PATTERN, _NOISE, _PILOT = range(1, 10)
@@ -125,7 +124,7 @@ def _make_transfer(cfg: ExperimentConfig, seed: Seed) -> TransferMatrix:
     if cfg.network_mode == "direct":
         return direct_transfer_matrix(cfg.m2, N, seed)
     topo = build_example_topology(N, cfg.m, CONNECT_PROB, seed.child(_TOPO))
-    return derive_transfer_matrix(topo, cfg.m2, COEFF_FAMILY, seed)
+    return derive_transfer_matrix(topo, cfg.m2, seed=seed)
 
 
 @dataclass
@@ -216,10 +215,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     )
 
 
-def run_trials(cfg: ExperimentConfig, indices=None, workers: int = 1) -> list[TrialRecord]:
-    """Run many trials; order of results follows indices regardless of scheduling."""
-    if indices is None:
-        indices = range(cfg.trials)
+def run_trials(cfg: ExperimentConfig, indices, workers: int = 1) -> list[TrialRecord]:
+    """Run the trials of the given indices; order of results follows indices regardless of scheduling."""
     indices = list(indices)
     if workers > 1 and len(indices) > 1:
         # imported here: multiprocessing adds about 1.5 MB to every process that imports csnc

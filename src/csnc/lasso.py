@@ -14,6 +14,8 @@ every path that reached xi on its final active set A from the same Gram
 rows, by solving H_AA y = c0_A - xi s with c0 = (1/q) G^T z, one
 batched solve per active-set size, and scores every path from one
 residual block: each path's objective and KKT stationarity residual.
+Every solve, product and score takes the batched form, also for a
+block of one path.
 solve_lasso is the one exit per problem: it packages the block's
 certificate of its path, and a solution is reported converged only when
 the path reached xi AND the KKT residual is at most 10 * TOL, which
@@ -72,10 +74,6 @@ class LassoProblem:
         return prob
 
     @property
-    def q(self) -> int:
-        return self.G.shape[0]
-
-    @property
     def p(self) -> int:
         return self.G.shape[1]
 
@@ -105,40 +103,20 @@ def kkt_check(prob: LassoProblem, coef) -> float:
     return _certify(prob.G, prob.z[:, None], np.array([prob.xi]), c[None])[1][0]
 
 
-def _certify(D, Z, xis, C, scratch=None) -> tuple[list[float], list[float]]:
+def _certify(D, Z, xis, C) -> tuple[list[float], list[float]]:
     """The objective and the KKT residual (see kkt_check) of each row of C, from one residual block.
 
     Row b of the n x p array C is scored on column b of the q x n block Z
     with weight xis[b], from its residual r = Z_b - D C_b and gradient
     (1/q) D^T (-r).  The products are mathcore.matvecs' and rowdots', so
     each row rounds as its own 1-D product, and its scores have the same
-    bits in any block.  The residuals, gradients and weights are written
-    into scratch, a flat float64 buffer of at least n (q + 3p) entries,
-    allocated when omitted.
+    bits in any block.
     """
-    (q, p), n = D.shape, len(C)
-    C = np.ascontiguousarray(C)
-    if scratch is None:
-        scratch = np.empty(n * (q + 3 * p))
-    R = scratch[:n * q].reshape(n, q)
-    g, t, w = scratch[n * q:n * (q + 3 * p)].reshape(3, n, p)
-    np.copyto(w, xis[:, None])  # row b: xis[b]; an operand numpy broadcasts would cost it iteration buffers
-    np.matmul(D, C[:, :, None], out=R[:, :, None])
-    np.subtract(Z.T, R, out=R)  # row b: the residual Z_b - D C_b
-    rr = rowdots(R, R)
-    np.negative(R, out=R)
-    np.matmul(D.T, R[:, :, None], out=g[:, :, None])
-    g /= q  # row b: the gradient
-    np.sign(C, out=t)
-    t *= w
-    t += g
-    np.abs(t, out=t)  # an active coordinate's violation
-    np.abs(g, out=g)
-    g -= w  # an inactive one's
-    np.copyto(g, t, where=C != 0)
-    kkts = [max(v, 0.0) for v in g.max(axis=1).tolist()]
-    np.abs(C, out=t)
-    return (0.5 * rr / q + xis * t.sum(axis=1)).tolist(), kkts
+    q, w = D.shape[0], xis[:, None]
+    R = Z.T - matvecs(D, C)
+    g = matvecs(D.T, -R) / q
+    kkts = np.where(C != 0, np.abs(np.sign(C) * w + g), np.abs(g) - w).max(axis=1).tolist()
+    return (0.5 * rowdots(R, R) / q + xis * np.abs(C).sum(axis=1)).tolist(), [max(v, 0.0) for v in kkts]
 
 
 def default_xi(sigma_hat: float, q: int, p: int) -> float:
@@ -244,9 +222,9 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     scattered into row b of the B x p block gram.coefs, and, _LOCKSTEP
     rows at a time, one residual block Z^T - D C and one gradient block
     (1/q) D^T (D C - Z^T) give each path's objective and KKT residual
-    (see kkt_check and _certify), in the stepping buffers, which the
-    block no longer needs.  Each row rounds as its own 1-D product, so
-    a path's certificate too is the same to the bit in any block.
+    (see kkt_check and _certify).  Each row rounds as its own 1-D
+    product, so a path's certificate too is the same to the bit in any
+    block.
 
     The columns are stepped in batches of at most _LOCKSTEP, each until
     all its paths have stopped.  Every live path of a batch has taken
@@ -378,7 +356,7 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
                 if bad:  # the singular systems stop their paths; the rest solve as they would
                     failed.update(np.arange(nl)[idx][bad].tolist())
                 negd[idx, :n] = d * -q  # d = (D_A^T D_A)^-1 s = H_AA^-1 s / q
-                a2[idx, :p] = np.matmul(d[:, None], rows[R])[:, 0] if len(d) > 1 else d[0] @ rows[R[0]]
+                a2[idx, :p] = np.matmul(d[:, None], rows[R])[:, 0]
             if failed:
                 retire(failed, False)
                 continue
@@ -443,11 +421,9 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
     for b, path in enumerate(paths):
         C[b, path.active] = path.coef
 
-    # certify the block, W rows at a time, in the stepping buffers when they hold a chunk's scratch
-    scratch = XV.reshape(-1) if XV.size >= W * (q + 3 * p) else None
-    for b0 in range(0, nb, W):
+    for b0 in range(0, nb, W):  # certify the block, W rows at a time
         rows = slice(b0, b0 + W)
-        objectives, kkts = _certify(D, Z[:, rows], xis[rows], C[rows], scratch)
+        objectives, kkts = _certify(D, Z[:, rows], xis[rows], C[rows])
         for path, row, objective, kkt in zip(paths[rows], C[rows], objectives, kkts):
             path.row, path.objective, path.kkt = row, objective, kkt
     return paths
@@ -456,13 +432,12 @@ def lasso_paths(D, Z, xis, max_iter=10_000) -> list[LassoPath]:
 def _solve_stack(H, R):
     """Solve H[g] y = R[g] for every g in one batched call; returns (Y, positions of singular systems).
 
-    numpy solves a single system faster unstacked, to the same bits.  A
-    singular system fails the whole stack, which is then solved one
+    A singular system fails the whole stack, which is then solved one
     system at a time: each solvable one as it would be in the stack, and
     each singular one's row of Y left zero.
     """
     try:
-        return (np.linalg.solve(H, R[:, :, None])[:, :, 0] if len(R) > 1 else np.linalg.solve(H[0], R[0])[None]), []
+        return np.linalg.solve(H, R[:, :, None])[:, :, 0], []
     except np.linalg.LinAlgError:
         Y, bad = np.zeros(R.shape), []
         for g in range(len(R)):

@@ -4,7 +4,7 @@ A receiver observes Z = G (b * y) + W per time index: G is its
 transfer matrix, b the on-off mask, and W white Gaussian noise.  G can
 be drawn directly (i.i.d. Gaussian, for clean scaling experiments) or
 derived from the two-layer random topology of the dense-mixing example:
-sources wired to m high in-degree intermediates with random coding
+sources wired to m high in-degree intermediates with random +-1 coding
 coefficients (G1), followed by dense random linear coding down to m2
 outputs (G2), so G = G2 G1.
 
@@ -23,8 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .mathcore import Seed, as_matrix, as_vector, gaussian_matrix, rademacher_matrix
-
-COEFF_FAMILIES = ("rademacher", "gaussian")
 
 
 @dataclass
@@ -77,10 +75,11 @@ def derive_transfer_matrix(
 
     incidence is the m x N 0/1 first-layer matrix of
     build_example_topology.  G1[j, i] carries the coding coefficient of
-    edge (source i -> intermediate j), zero when absent; coefficients
-    come from coeff_family.  G2 is a dense m2 x m Gaussian modeling
-    random linear coding through the second stage, so m2 <= m.  G is
-    scaled by 1/sqrt(m * edge_density) to unit entry variance.
+    edge (source i -> intermediate j), zero when absent: a Rademacher
+    (+-1) draw, coeff_family "rademacher", the one family; any other
+    raises ValueError.  G2 is a dense m2 x m Gaussian modeling random
+    linear coding through the second stage, so m2 <= m.  G is scaled by
+    1/sqrt(m * edge_density) to unit entry variance.
     """
     mask = as_matrix(incidence, "incidence")
     if not ((mask == 0.0) | (mask == 1.0)).all():
@@ -88,15 +87,11 @@ def derive_transfer_matrix(
     m, N = mask.shape
     if m2 < 1 or m2 > m:
         raise ValueError("need 1 <= m2 <= m (the second stage cannot create information)")
-    if coeff_family not in COEFF_FAMILIES:
+    if coeff_family != "rademacher":
         raise ValueError(f"unknown coefficient family {coeff_family!r}")
 
-    if coeff_family == "rademacher":
-        coeffs = rademacher_matrix(m, N, seed.child(1))
-    else:
-        coeffs = gaussian_matrix(m, N, seed.child(1))
     n_edges = int(np.count_nonzero(mask))
-    G1 = coeffs * mask
+    G1 = rademacher_matrix(m, N, seed.child(1)) * mask
     G2 = gaussian_matrix(m2, m, seed.child(2))
     if n_edges:  # fold the normalization into the second stage: G = G2 G1 exactly
         density = n_edges / (m * N)

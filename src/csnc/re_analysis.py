@@ -67,11 +67,6 @@ def _cone_margins(Y, spec: ConeSpec) -> np.ndarray:
     return spec.alpha * on - np.abs(Y[:, spec.complement]).sum(axis=1)
 
 
-def cone_membership_margin(y, spec: ConeSpec) -> float:
-    """alpha * ||y_S||_1 - ||y_{S^c}||_1; nonnegative inside the cone."""
-    return float(_cone_margins(np.asarray(y, dtype=float)[None, :], spec)[0])
-
-
 def sample_cone_vectors(spec: ConeSpec, seeds) -> np.ndarray:
     """Random unit vectors in C(S; alpha), one row per seed.
 
@@ -80,7 +75,7 @@ def sample_cone_vectors(spec: ConeSpec, seeds) -> np.ndarray:
     slack uniform in [0, 1] when the support leaves a complement.  The
     off block is rescaled so its l1 norm equals slack * alpha *
     ||y_S||_1.  A row does not depend on the other seeds, so it equals
-    sample_cone_vector(spec, seeds[i]).
+    sample_cone_vectors(spec, [seeds[i]])[0].
 
     One generator serves the whole call: it is built for the first seed
     and reseated (Seed.reseat) for each later one, which starts exactly
@@ -106,11 +101,6 @@ def sample_cone_vectors(spec: ConeSpec, seeds) -> np.ndarray:
     l1 = np.abs(off).sum(axis=1)
     Y[:, comp] = off * np.divide(budget, l1, out=np.zeros_like(l1), where=l1 > 0)[:, None]
     return Y / np.sqrt(rowdots(Y, Y))[:, None]
-
-
-def sample_cone_vector(spec: ConeSpec, seed: Seed) -> np.ndarray:
-    """Random unit vector in C(S; alpha): the one-row case of sample_cone_vectors."""
-    return sample_cone_vectors(spec, [seed])[0]
 
 
 @dataclass

@@ -55,7 +55,7 @@ class TestSolveLasso:
 
     def test_null_solution_threshold(self):
         prob = random_instance(3, sigma=0.5)
-        lam_max = np.max(np.abs(prob.G.T @ prob.z / prob.q))
+        lam_max = np.max(np.abs(prob.G.T @ prob.z / prob.G.shape[0]))
         big = LassoProblem(prob.z, prob.G, lam_max * 1.0001)
         sol = solve_lasso(big)
         assert np.all(sol.coef == 0.0)
@@ -702,10 +702,27 @@ def wide_batch():
     return G, G @ M + rng.normal(0, 0.1, (30, 66)), np.full(66, default_xi(0.1, 30, 128))
 
 
+def tall_batch():
+    """40 noisy columns of 1-4 nonzeros on a tall 60 x 12 Gaussian design, with q > 3p + 2 rows.
+
+    The weights run from 1% to 80% of each column's lam_max, so the paths
+    stop at many active-set sizes.
+    """
+    rng = Seed(37).rng()
+    G = rng.normal(size=(60, 12))
+    M = np.zeros((12, 40))
+    for b in range(40):
+        k = 1 + b % 4
+        M[rng.choice(12, k, replace=False), b] = rng.uniform(1, 2, k) * rng.choice([-1, 1], k)
+    Z = G @ M + rng.normal(0, 0.3, (60, 40))
+    fracs = [0.01, 0.05, 0.2, 0.5, 0.8] * 8
+    return G, Z, np.array([f * np.max(np.abs(G.T @ z)) / 60 for f, z in zip(fracs, Z.T)])
+
+
 class TestBlockExit:
     """decode_spatial finishes, certifies and refits a column as it does the column alone, bit for bit, in any block."""
 
-    @pytest.mark.parametrize("batch", [fixed_batch, wide_batch])
+    @pytest.mark.parametrize("batch", [fixed_batch, wide_batch, tall_batch])
     @pytest.mark.parametrize("size", [7, 32, 33])
     def test_block_equals_each_column_alone(self, batch, size):
         G, Z, xis = batch()
@@ -722,7 +739,7 @@ class TestBlockExit:
                 sizes.add(np.count_nonzero(sol.coef))
         assert len(sizes) > 2  # blocks mix finish and refit sizes
 
-    @pytest.mark.parametrize("batch", [fixed_batch, wide_batch])
+    @pytest.mark.parametrize("batch", [fixed_batch, wide_batch, tall_batch])
     def test_certificate_is_the_per_problem_score(self, monkeypatch, batch):
         # each solve packages its row of the block handed to the refit, with that row's
         # per-problem scores, the same as a bare solve's

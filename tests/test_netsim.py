@@ -59,7 +59,7 @@ def _edge_loop(N, m, prob, seed):
 
 class TestTopologyMatchesEdgeLoop:
     @pytest.mark.parametrize("seed_index", range(4))
-    @pytest.mark.parametrize("family", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("family", ["rademacher"])
     def test_bit_identical_to_the_edge_loop(self, seed_index, family):
         N, m, m2 = 60, 12, 9
         s = Seed(31, seed_index)
@@ -68,8 +68,7 @@ class TestTopologyMatchesEdgeLoop:
         assert np.array_equal(topo, mask)
         tm = derive_transfer_matrix(topo, m2, family, s.child(1))
         G1, G2 = tm.decomposition
-        coeffs = (rademacher_matrix(m, N, s.child(1).child(1)) if family == "rademacher"
-                  else gaussian_matrix(m, N, s.child(1).child(1)))
+        coeffs = rademacher_matrix(m, N, s.child(1).child(1))
         G2_ref = (1.0 / np.sqrt(m * (n_edges / (m * N)))) * gaussian_matrix(m2, m, s.child(1).child(2))
         assert np.array_equal(G1, coeffs * mask)
         assert np.array_equal(G2, G2_ref)
@@ -111,6 +110,11 @@ class TestDeriveTransferMatrix:
         tm = derive_transfer_matrix(topo, 40, "rademacher", Seed(14))
         v = tm.G.var()
         assert 0.7 < v < 1.4
+
+    def test_gaussian_coefficient_family_rejected(self):
+        topo = build_example_topology(10, 3, 0.5, Seed(0))
+        with pytest.raises(ValueError, match="coefficient family"):
+            derive_transfer_matrix(topo, 3, "gaussian", Seed(0))
 
     def test_m2_cannot_exceed_m(self):
         topo = build_example_topology(10, 3, 0.5, Seed(0))

@@ -9,11 +9,9 @@ from csnc.mathcore import Seed
 from csnc.re_analysis import (
     ConeSpec,
     cascade_check,
-    cone_membership_margin,
     constant_c,
     error_bound,
     estimate_re,
-    sample_cone_vector,
     sample_cone_vectors,
     save_re_report,
 )
@@ -38,17 +36,22 @@ class TestConeSpec:
         assert list(spec.complement) == [1, 2, 4]
 
 
+def cone_margin(y, spec):
+    """alpha * ||y_S||_1 - ||y_{S^c}||_1; nonnegative inside the cone."""
+    return spec.alpha * np.abs(y[list(spec.support)]).sum() - np.abs(y[spec.complement]).sum()
+
+
 class TestSampleConeVector:
     def test_membership_is_exact(self):
         for i in range(50):
             spec = ConeSpec(12, (0, 2, 5), alpha=1.0)
-            y = sample_cone_vector(spec, Seed(1, i))
-            assert cone_membership_margin(y, spec) >= -1e-12
+            [y] = sample_cone_vectors(spec, [Seed(1, i)])
+            assert cone_margin(y, spec) >= -1e-12
             assert abs(np.linalg.norm(y) - 1.0) < 1e-12
 
     def test_full_support_is_vacuous(self):
         spec = ConeSpec(6, tuple(range(6)), alpha=1.0)
-        y = sample_cone_vector(spec, Seed(2))
+        [y] = sample_cone_vectors(spec, [Seed(2)])
         assert abs(np.linalg.norm(y) - 1.0) < 1e-12
 
     def test_batch_rows_are_single_draws(self):
@@ -56,7 +59,7 @@ class TestSampleConeVector:
         seeds = [Seed(4).child(i) for i in range(7)]
         Y = sample_cone_vectors(spec, seeds)
         for y, s in zip(Y, seeds):
-            assert np.array_equal(y, sample_cone_vector(spec, s))
+            assert np.array_equal(y, sample_cone_vectors(spec, [s])[0])
         assert sample_cone_vectors(spec, []).shape == (0, 9)
 
 
@@ -90,7 +93,7 @@ class TestEstimateRe:
         y = est.argmin_vector
         ratio = float((G @ y) @ (G @ y)) / 12 / float(y @ y)
         assert ratio == pytest.approx(est.gamma_hat, rel=1e-10)
-        assert cone_membership_margin(y, ConeSpec(18, est.argmin_support, est.alpha)) >= -1e-10
+        assert cone_margin(y, ConeSpec(18, est.argmin_support, est.alpha)) >= -1e-10
 
     def test_monotone_refinement(self):
         # more sampling can only lower the estimate (same seed prefix)
@@ -236,7 +239,7 @@ class TestMatchesPerVectorLoop:
         assert est.argmin_support == S
         assert _rel_close(est.gamma_hat, level, scale)
         if arg is not None:
-            want = sample_cone_vector(ConeSpec(p, S, alpha), s.child(1, s_idx).child(arg))
+            [want] = sample_cone_vectors(ConeSpec(p, S, alpha), [s.child(1, s_idx).child(arg)])
             assert np.array_equal(est.argmin_vector, want)
             ref = oracles.cone_vector(p, S, alpha, s.child(1, s_idx).child(arg))
             assert np.allclose(est.argmin_vector, ref, rtol=1e-12, atol=1e-15)
@@ -269,7 +272,7 @@ class TestMatchesPerVectorLoop:
         seeds = [Seed(seed).child(i) for i in range(count)]
         Y = sample_cone_vectors(spec, seeds)
         for y, sd in zip(Y, seeds):
-            assert np.array_equal(y, sample_cone_vector(spec, sd))
+            assert np.array_equal(y, sample_cone_vectors(spec, [sd])[0])
             assert np.allclose(y, oracles.cone_vector(dim, support, alpha, sd), rtol=1e-12, atol=1e-15)
 
 

@@ -16,6 +16,9 @@ change kept these outputs byte-identical:
   decode_trial.  The export CSV keeps only per-trial summaries, and the
   default refit ignores a stage-2 weight once the support is fixed, so
   this is the line that moves when a weight moves by an ulp;
+- with debias=False and with debias=True, the coefficients of one
+  decode_spatial call on a seeded tall block: 40 columns on a 60 x 12
+  Gaussian design, so the design has more than 3p + 2 rows;
 - the export_results CSV of the ten trial records of the m2=50 cell of
   the criterion-4 m2 sweep (N=512, stage 1 only);
 - the calibration of the small config (N=n=32, m=8, 20 pilot trials):
@@ -85,6 +88,20 @@ def decode_digest(harness, cfg) -> str:
         for res in harness.decode_trial(cfg, harness.build_trial(cfg, i)):
             parts += [res.mu_hat.tobytes(), res.y_hat.tobytes(), res.theta_hat.tobytes(), res.x_hat.tobytes()]
     return sha(parts)
+
+
+def tall_decode_digest(lasso, debias) -> str:
+    """Digest of decode_spatial's coefficients for 40 seeded columns of 1-4 nonzeros on a 60 x 12 design."""
+    rng = np.random.default_rng(20260808)
+    D = rng.normal(size=(60, 12))
+    M = np.zeros((12, 40))
+    for b in range(40):
+        k = 1 + b % 4
+        M[rng.choice(12, k, replace=False), b] = rng.uniform(1, 2, k) * rng.choice([-1, 1], k)
+    Z = D @ M + rng.normal(0, 0.3, (60, 40))
+    xis = [lasso.default_xi(0.3, 60, 12)] * 40
+    coefs, _ = lasso.decode_spatial(Z, D, xis, debias=debias)
+    return sha([coefs.tobytes()])
 
 
 def analysis_digests(csnc, master):
@@ -173,6 +190,8 @@ def main(argv=None) -> int:
     for name, cfg in {"acceptance": acceptance, **configs}.items():
         print(f"trial {name} trials 0-3 {trial_digest(harness, cfg)}")
     print(f"decode small debias=False trials 0-3 {decode_digest(harness, replace(small, debias=False))}")
+    for debias in (False, True):
+        print(f"decode tall debias={debias} {tall_decode_digest(csnc.lasso, debias)}")
 
     # the criterion-4 m2 sweep's cell m2=50, as harness.sweep runs it
     m2_cfg = Config(SparsityProfile(512, 16, 2, 2), m=32, m1=4, m2=50, sigma=0.1, D=0.01, trials=10,
